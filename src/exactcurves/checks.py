@@ -280,7 +280,7 @@ _CHECKS = [
     ("derived-series-main-full",
      "level-4 derived-series quotient of the 4-generator kernel group "
      "is Z^9 + (Z/2)^5 + Z/4",
-     ("groups", "deep"), _check_derived_series_main_full),
+     ("groups",), _check_derived_series_main_full),
     ("derived-series-companion",
      "derived-series quotients of the 3-generator companion group: "
      "Z/8, Z/3, (Z/2)^4, Z^3 + Z/2",
@@ -389,13 +389,11 @@ def run_check(check_id: str) -> Dict:
 
 
 def run_all(tags: Optional[Sequence[str]] = None,
-            skip_tags: Sequence[str] = ("deep",),
-            parallel: bool = False) -> VerificationManifest:
+            skip_tags: Sequence[str] = ("deep",)) -> VerificationManifest:
     """Run all checks (optionally tag-filtered).
 
     By default checks tagged "deep" (long-running) are marked skipped;
-    pass skip_tags=() to run everything.  `parallel` runs independent
-    checks in a thread pool; results keep manifest order.
+    pass skip_tags=() to run everything.
     """
     selected = []
     for cid, statement, ctags, _fn in _CHECKS:
@@ -413,10 +411,4 @@ def run_all(tags: Optional[Sequence[str]] = None,
                                 f"tagged {sorted(skip & set(ctags))}"}}
         return run_check(cid)
 
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            entries = list(pool.map(runner, selected))
-    else:
-        entries = [runner(item) for item in selected]
-    return VerificationManifest(entries)
+    return VerificationManifest([runner(item) for item in selected])

@@ -278,8 +278,7 @@ def _cmd_check(args):
 def _cmd_verify(args):
     from .checks import run_all
     skip = () if args.deep else ("deep",)
-    manifest = run_all(tags=args.tag or None, skip_tags=skip,
-                       parallel=args.parallel)
+    manifest = run_all(tags=args.tag or None, skip_tags=skip)
     print(manifest.render())
     if args.report:
         manifest.write_report(args.report)
@@ -390,8 +389,6 @@ def build_parser():
                           help="only checks carrying this tag")
     p_verify.add_argument("--deep", action="store_true",
                           help="include long-running checks")
-    p_verify.add_argument("--parallel", action="store_true",
-                          help="run independent checks concurrently")
     add_report(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
     return ap

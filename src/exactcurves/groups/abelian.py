@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Sequence, Tuple
 
 from .presentation import Presentation
@@ -215,137 +216,141 @@ def abelianization(p: Presentation) -> AbelianInvariants:
     return _invariants_sparse(rows, n)
 
 
+# Rows examined per unit pivot: the restricted Markowitz search looks only
+# at this many of the shortest rows holding a +-1 entry (Zlatev 1980).
+MARKOWITZ_ROWS = 4
+
+
 def _invariants_sparse(rows, ncols) -> AbelianInvariants:
     """Cokernel invariants of Z^ncols / rowspace for sparse integer rows.
 
-    Unit (+-1) pivots are eliminated first, chosen by Markowitz cost
-    (minimal predicted fill-in), which keeps both fill and coefficient
-    growth under control on the large relator matrices coming out of
-    Reidemeister-Schreier; the dense Smith form only ever sees the small
-    non-unit remnant."""
-    col_rows = {}   # col -> set of row ids
+    Unit (+-1) pivots are eliminated first.  Rows holding a unit entry are
+    kept in buckets by length, and each pivot is the unit entry of least
+    Markowitz cost (predicted fill-in) among the MARKOWITZ_ROWS shortest
+    such rows.  The non-unit remnant is deduplicated and folded row by row
+    into a reduced row Hermite normal form, which keeps its entries small
+    (Havas, Holt and Rees 1993); the Smith form only sees that HNF, which
+    has at most ncols rows."""
     rows = {i: dict(r) for i, r in enumerate(rows)}
+    col_rows = {}   # col -> set of row ids
     for i, r in rows.items():
         for j in r:
             col_rows.setdefault(j, set()).add(i)
+    buckets = {}    # length -> ids of rows holding a unit entry
+    filed = {}      # row id -> the length it is filed under
+
+    def file(i):
+        r = rows[i]
+        if 1 in r.values() or -1 in r.values():
+            buckets.setdefault(len(r), set()).add(i)
+            filed[i] = len(r)
+
+    def unfile(i):
+        n = filed.pop(i, None)
+        if n is not None:
+            bucket = buckets[n]
+            bucket.discard(i)
+            if not bucket:
+                del buckets[n]
+
+    for i in rows:
+        file(i)
     unit_pivots = 0
-    while True:
-        best = None
-        for i, r in rows.items():
-            rn = len(r)
-            for j, v in r.items():
-                if v in (1, -1):
-                    cost = (rn - 1) * (len(col_rows[j]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j)
-        if best is None:
-            break
-        _cost, i0, j0 = best
+    while buckets:
+        shortest = itertools.islice(itertools.chain.from_iterable(
+            buckets[n] for n in sorted(buckets)), MARKOWITZ_ROWS)
+        _cost, i0, j0 = min(
+            ((len(rows[i]) - 1) * (len(col_rows[j]) - 1), i, j)
+            for i in shortest for j, v in rows[i].items()
+            if v == 1 or v == -1)
+        unfile(i0)
         pivot = rows.pop(i0)
-        v0 = pivot[j0]
         for j in pivot:
             col_rows[j].discard(i0)
+        v0 = pivot.pop(j0)
         # clear column j0 from every other row (row operations only; the
-        # cokernel is unchanged) then drop the pivot row and column
-        for i in list(col_rows.get(j0, ())):
+        # cokernel is unchanged), then drop the pivot row and column
+        for i in col_rows.pop(j0):
+            unfile(i)
             r = rows[i]
-            f = r[j0] * v0  # v0 in {1,-1}: multiplier so column vanishes
+            f = r.pop(j0) * v0  # v0 in {1,-1}: multiplier so column vanishes
             for j, v in pivot.items():
                 nv = r.get(j, 0) - f * v
                 if nv:
                     if j not in r:
-                        col_rows.setdefault(j, set()).add(i)
+                        col_rows[j].add(i)
                     r[j] = nv
                 elif j in r:
                     del r[j]
                     col_rows[j].discard(i)
-            if not r:
+            if r:
+                file(i)
+            else:
                 del rows[i]
-        del col_rows[j0]
         unit_pivots += 1
-    # dense remnant on the columns still present
+    # remnant on the columns still present
     live_cols = sorted(j for j, s in col_rows.items() if s)
-    live_rows = [r for r in rows.values() if r]
     free_untouched = ncols - unit_pivots - len(live_cols)
-    if not live_rows:
-        return AbelianInvariants(free_untouched + len(live_cols), ())
     colmap = {j: k for k, j in enumerate(live_cols)}
-    seen = set()
-    M = []
-    for r in live_rows:
+    remnant = set()
+    for r in rows.values():
         row = [0] * len(live_cols)
         for j, v in r.items():
             row[colmap[j]] = v
-        key = tuple(row)
-        if key not in seen:
-            seen.add(key)
-            M.append(row)
-    diag = _snf_diagonal(M)
+        remnant.add(tuple(row))
+    hnf = {}
+    for row in sorted(remnant):
+        _hnf_insert(hnf, list(row))
+    diag = smith_normal_form([hnf[c] for c in sorted(hnf)])[0] if hnf else []
     torsion = [d for d in diag if d > 1]
     rank = len(live_cols) - len(diag) + free_untouched
     return AbelianInvariants(rank, torsion)
 
 
-def _snf_diagonal(M):
-    """Invariant factors of an integer matrix without transform tracking
-    (same pivoting as smith_normal_form, cheaper for invariants only)."""
-    import math
-    A = [list(row) for row in M]
-    r = len(A)
-    c = len(A[0]) if r else 0
-    t = 0
-    while t < min(r, c):
-        best = None
-        for i in range(t, r):
-            Ai = A[i]
-            for j in range(t, c):
-                if Ai[j] and (best is None
-                              or abs(Ai[j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i0, j0 = best
-        A[t], A[i0] = A[i0], A[t]
-        if j0 != t:
-            for row in A:
-                row[t], row[j0] = row[j0], row[t]
-        while True:
-            done = True
-            p = A[t][t]
-            for i in range(t + 1, r):
-                if A[i][t]:
-                    q = A[i][t] // p
-                    A[i] = [a - q * b for a, b in zip(A[i], A[t])]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        p = A[t][t]
-                        done = False
-            for j in range(t + 1, c):
-                if A[t][j]:
-                    q = A[t][j] // p
-                    for row in A:
-                        row[j] -= q * row[t]
-                    if A[t][j]:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        p = A[t][t]
-                        done = False
-            if done:
-                break
-        if A[t][t] < 0:
-            A[t] = [-a for a in A[t]]
-        t += 1
-    diag = [abs(A[i][i]) for i in range(t)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if b % a:
-                g = math.gcd(a, b)
-                diag[i], diag[i + 1] = g, a // g * b
-                changed = True
-    return diag
+def _hnf_insert(hnf, row):
+    """Fold an integer row into a reduced row Hermite normal form.
+
+    `hnf` maps each pivot column to its row: zero left of the pivot, a
+    positive pivot, and entries above every other pivot reduced into
+    [0, pivot).  It stays the reduced HNF of the lattice spanned so far."""
+    for c in range(len(row)):
+        a = row[c]
+        if not a:
+            continue
+        h = hnf.get(c)
+        if h is None:
+            hnf[c] = row if a > 0 else [-x for x in row]
+            _hnf_reduce(hnf)
+            return
+        p = h[c]
+        if a % p == 0:
+            q = a // p
+            row = [x - q * y for x, y in zip(row, h)]
+        else:
+            # [h; row] <- [[x, y], [-a/g, p/g]] [h; row], unimodular
+            g, x, y = _xgcd(p, a)
+            hnf[c] = [x * u + y * v for u, v in zip(h, row)]
+            row = [(p // g) * v - (a // g) * u for u, v in zip(h, row)]
+            _hnf_reduce(hnf)
+
+
+def _hnf_reduce(hnf):
+    """Reduce the entries above each pivot of `hnf` modulo that pivot."""
+    pivots = sorted(hnf)
+    for k, c in enumerate(pivots):
+        h = hnf[c]
+        for c2 in pivots[k + 1:]:
+            q = h[c2] // hnf[c2][c2]
+            if q:
+                h = [x - q * y for x, y in zip(h, hnf[c2])]
+        hnf[c] = h
+
+
+def _xgcd(a, b):
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) > 0."""
+    x, y = _bezout(a, b)
+    g = x * a + y * b
+    return (g, x, y) if g > 0 else (-g, -x, -y)
 
 
 def abelianization_with_images(p: Presentation):

@@ -10,7 +10,7 @@ into Schreier generators and then Tietze-simplified.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence
 
 from .abelian import AbelianInvariants, abelianization_with_images
 from .presentation import Presentation, PresentationError
@@ -43,27 +43,34 @@ def rs_kernel(p: Presentation, moduli: Sequence[int],
     if not moduli:
         return p
 
-    def add(a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
+    # Cosets are the integers 0..order-1, read as mixed-radix numbers with
+    # digits in moduli (last digit least significant), so integer order is
+    # the lexicographic order of residue tuples.  fwd[g] and bwd[g] are the
+    # actions of g and g^-1 on cosets.
+    residues = list(itertools.product(*(range(m) for m in moduli)))
+    order = len(residues)
 
-    def neg(a):
-        return tuple((-x) % m for x, m in zip(a, moduli))
+    def coset(t):
+        c = 0
+        for x, m in zip(t, moduli):
+            c = c * m + x % m
+        return c
 
-    zero = tuple(0 for _ in moduli)
+    fwd = {g: [coset([x + y for x, y in zip(t, imgs[g])])
+               for t in residues] for g in p.generators}
+    bwd = {g: [coset([x - y for x, y in zip(t, imgs[g])])
+               for t in residues] for g in p.generators}
+
     # surjectivity: close {0} under adding generator images
-    reach = {zero}
-    frontier = [zero]
+    reach = {0}
+    frontier = [0]
     while frontier:
         t = frontier.pop()
         for g in p.generators:
-            for step in (imgs[g], neg(imgs[g])):
-                u = add(t, step)
+            for u in (fwd[g][t], bwd[g][t]):
                 if u not in reach:
                     reach.add(u)
                     frontier.append(u)
-    order = 1
-    for m in moduli:
-        order *= m
     if len(reach) != order:
         raise RewriteError(
             f"images generate a subgroup of index {order // len(reach)}, "
@@ -72,60 +79,55 @@ def rs_kernel(p: Presentation, moduli: Sequence[int],
     # shortlex Schreier transversal (BFS over generator letters in order)
     letters = []
     for g in p.generators:
-        letters.append((g, 1, imgs[g]))
-        letters.append((g, -1, neg(imgs[g])))
-    transversal: Dict[tuple, GroupWord] = {zero: GroupWord()}
-    queue = [zero]
+        letters.append((g, 1, fwd[g]))
+        letters.append((g, -1, bwd[g]))
+    transversal = [None] * order
+    transversal[0] = GroupWord()
+    queue = [0]
     while queue:
         nxt = []
         for t in queue:
-            for g, e, step in letters:
-                u = add(t, step)
-                if u not in transversal:
+            for g, e, table in letters:
+                u = table[t]
+                if transversal[u] is None:
                     transversal[u] = transversal[t] * GroupWord([(g, e)])
                     nxt.append(u)
         queue = nxt
 
     # Schreier generators: one per (coset, generator); tree edges trivial
-    names: Dict[Tuple[tuple, str], str] = {}
-    trivial = set()
-    counter = itertools.count(1)
-    cosets = sorted(transversal)
-    for t in cosets:
+    names = []
+    name_at = {g: [None] * order for g in p.generators}
+    for t in range(order):
         for g in p.generators:
-            u = add(t, imgs[g])
+            u = fwd[g][t]
             w = transversal[t] * GroupWord.gen(g) * transversal[u].inverse()
-            key = (t, g)
-            if w.is_identity():
-                trivial.add(key)
-            else:
-                names[key] = f"y{next(counter)}"
+            if not w.is_identity():
+                names.append(f"y{len(names) + 1}")
+                name_at[g][t] = names[-1]
 
-    def rewrite(r: GroupWord, t: tuple) -> GroupWord:
-        out = []
-        s = t
-        for g, e in r.letters:
-            if e == 1:
-                key = (s, g)
-                if key not in trivial:
-                    out.append((names[key], 1))
-                s = add(s, imgs[g])
-            else:
-                s = add(s, neg(imgs[g]))
-                key = (s, g)
-                if key not in trivial:
-                    out.append((names[key], -1))
-        return GroupWord(out)
+    # one table per letter g^e: coset s -> (s * g^e, Schreier letter or None)
+    step = {}
+    for g in p.generators:
+        at = name_at[g]
+        step[g, 1] = [(u, (at[s], 1) if at[s] else None)
+                      for s, u in enumerate(fwd[g])]
+        step[g, -1] = [(u, (at[u], -1) if at[u] else None) for u in bwd[g]]
 
     relators = []
     for r in p.relators:
-        for t in cosets:
-            rr = rewrite(r, t)
+        tables = [step[let] for let in r.letters]
+        for t in range(order):
+            out = []
+            s = t
+            for table in tables:
+                s, y = table[s]
+                if y:
+                    out.append(y)
+            rr = GroupWord(out)
             if not rr.is_identity():
                 relators.append(rr)
     kernel = Presentation(
-        [names[k] for k in sorted(names, key=lambda k: int(names[k][1:]))],
-        relators,
+        names, relators,
         notes=f"rs_kernel of ({p.notes or 'presentation'}) onto "
               f"{'x'.join(f'Z/{m}' for m in moduli)}")
     if simplify:

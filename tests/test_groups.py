@@ -1,6 +1,9 @@
 """Tests for the finitely presented group engine."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -394,6 +397,140 @@ class TestAbelianization:
     def test_trivial_presentation(self):
         assert abelianization(Presentation([], [])) == \
             AbelianInvariants(0, ())
+
+
+def _relation_presentation(M):
+    """Presentation of Z^c / rowspace(M): generator x_j per column, one
+    relator per row with exponent sums given by the row."""
+    names = [f"x{j}" for j in range(len(M[0]))]
+    rels = []
+    for row in M:
+        w = GroupWord()
+        for name, e in zip(names, row):
+            w = w * GroupWord.gen(name, e)
+        rels.append(w)
+    return Presentation(names, rels)
+
+
+def _random_relation_matrix(rng, kind):
+    """Sparse integer rows of one of three kinds: rank-deficient (fewer
+    independent rows than columns), non-unit (no +-1 entries at all), or
+    with duplicate (and negated duplicate) rows."""
+    c = rng.randint(1, 9)
+    units = kind != "non-unit"
+    values = ([1, -1, 1, -1, 2, -3, 4] if units else [2, -2, 3, 4, -6, 9])
+    rows = []
+    for _ in range(rng.randint(1, 10)):
+        row = [0] * c
+        for j in rng.sample(range(c), rng.randint(1, min(c, 4))):
+            row[j] = rng.choice(values)
+        rows.append(row)
+    if kind == "rank-deficient":
+        rows = rows[:max(1, c - 1 - rng.randrange(3))]
+        for _ in range(rng.randint(1, 4)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            k = rng.choice([1, -1, 2])
+            rows.append([x + k * y for x, y in zip(a, b)])
+    elif kind == "duplicates":
+        for _ in range(rng.randint(1, 5)):
+            row = rng.choice(rows)
+            rows.append(list(row) if rng.random() < 0.5 else
+                        [-x for x in row])
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_sparse_invariants_match_smith_forms(seed):
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    rng = random.Random(seed)
+    kind = ("rank-deficient", "non-unit", "duplicates")[seed % 3]
+    M = _random_relation_matrix(rng, kind)
+    c = len(M[0])
+    got = abelianization(_relation_presentation(M))
+    diag = smith_normal_form(M)[0]
+    assert got == AbelianInvariants(c - len(diag), [d for d in diag if d > 1])
+    S = sympy_snf(Matrix(M), domain=ZZ)
+    ref = sorted(abs(S[i, i]) for i in range(min(S.shape)) if S[i, i])
+    assert got == AbelianInvariants(c - len(ref), [d for d in ref if d > 1])
+
+
+# The level-4 quotient of g_symp once sent the dense remnant of the sparse
+# invariants into coefficient blow-up (past 6 GB on a relabelled input).
+# These cases run in a child whose address space is capped, so such a
+# blow-up ends in MemoryError instead of running unbounded.
+CHILD_ADDRESS_SPACE = 2 << 30   # bytes
+LEVEL4 = "Z^9 + (Z/2)^5 + Z/4"
+
+
+def relabel(p, seed):
+    """An isomorphic presentation: generators and relators permuted, each
+    relator rotated cyclically."""
+    rng = random.Random(seed)
+    gens = list(p.generators)
+    rng.shuffle(gens)
+    rels = []
+    for r in p.relators:
+        letters = list(r.letters)
+        k = rng.randrange(len(letters))
+        rels.append(GroupWord(letters[k:] + letters[:k]))
+    rng.shuffle(rels)
+    return Presentation(gens, rels, p.notes)
+
+
+def level4_of_relabelled(seed):
+    res = derived_series_quotients(relabel(CORPUS["g_symp"], seed), 4)
+    return res["quotients"][-1].describe()
+
+
+def level4_over_unsimplified_level3():
+    """abelianization of the raw Schreier presentation of the level-4
+    kernel, taken over the raw (not Tietze-simplified) level-3 kernel."""
+    def kernel(p, simplify):
+        inv, images = abelianization_with_images(p)
+        k = len(inv.torsion)
+        return rs_kernel(p, inv.torsion,
+                         {g: v[:k] for g, v in images.items()},
+                         simplify=simplify)
+    big = kernel(kernel(kernel(CORPUS["g_symp"], True), False), False)
+    assert (len(big.generators), len(big.relators)) == (577, 4416)
+    return abelianization(big).describe()
+
+
+def _in_bounded_child(call, budget):
+    """Value of `call` (an expression over this module) evaluated in a child
+    process with a capped address space; asserts it took under `budget`
+    seconds there."""
+    import exactcurves
+    src = os.path.dirname(os.path.dirname(exactcurves.__file__))
+    code = ("import resource, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, "
+            f"({CHILD_ADDRESS_SPACE}, {CHILD_ADDRESS_SPACE}))\n"
+            "import test_groups\n"
+            "t0 = time.monotonic()\n"
+            f"value = test_groups.{call}\n"
+            "print(time.monotonic() - t0)\n"
+            "print(value)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.path.dirname(__file__)]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    elapsed, value = proc.stdout.splitlines()
+    assert float(elapsed) < budget, \
+        f"{call} took {float(elapsed):.1f}s, over the {budget}s budget"
+    return value
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_level4_of_relabelled_presentation(seed):
+    assert _in_bounded_child(f"level4_of_relabelled({seed})", 30) == LEVEL4
+
+
+def test_level4_over_unsimplified_level3_kernel():
+    assert _in_bounded_child("level4_over_unsimplified_level3()",
+                             30) == LEVEL4
 
 
 # ---------------------------------------------------------------------------
