@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from . import fields as fl
 from .fields import QQ, FieldAutomorphism, FieldElement, NumberField, \
     field_from_doc
-from .multipoly import MultiPoly, PolyError, parse_poly
+from .multipoly import MultiPoly, PolyError, dehomogenize, parse_poly
 from .singular import (CurveGerm, GermError, certify_composite,
                        certify_smooth_projective, certify_type,
                        lines_concurrent, tangent_lines_and_concurrency)
@@ -116,25 +116,21 @@ def _load_point_file(fname):
 # ---------------------------------------------------------------------------
 
 def projective_germ(f: MultiPoly, point) -> CurveGerm:
-    """Affine germ of a homogeneous 3-variable polynomial at a point."""
+    """Affine germ of a homogeneous 3-variable polynomial at a point, in
+    the chart of the point's first nonzero coordinate."""
     if len(f.vars) != 3:
         raise CurveError("expected a polynomial in 3 variables")
     field = f.field
     for c in point:
         if isinstance(c, FieldElement):
             field = fl.common_field(field, c.field)
-    f = f.to_field(field)
     pt = [field.coerce(c) for c in point]
     i = next((k for k in (0, 1, 2) if pt[k]), None)
     if i is None:
         raise CurveError("zero projective point")
     j, k = [t for t in (0, 1, 2) if t != i]
-    chart = f.substitute({f.vars[i]: MultiPoly.const(f.vars, 1, field)})
-    chart2 = MultiPoly((f.vars[j], f.vars[k]),
-                       {(e[j], e[k]): c for e, c in chart.terms.items()},
-                       field)
     s = 1 / pt[i]
-    return CurveGerm(chart2, (pt[j] * s, pt[k] * s))
+    return CurveGerm(dehomogenize(f, i), (pt[j] * s, pt[k] * s))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +305,7 @@ def assemble_appendix_b(mapping=None):
     G = G0.substitute({"x": x + MultiPoly.const(XYZ, zeta, K1) * y,
                        "y": x + MultiPoly.const(XYZ, zbar, K1) * y})
     report["G"] = G
-    escape = [e for e, cc in G.terms.items()
-              if _apply_sigma_elt(cc, sigma) != cc]
+    escape = [e for e, cc in G.terms.items() if sigma(cc) != cc]
     report["checks"]["G_coeffs_in_fixed_field"] = not escape
     if escape:
         report["checks"]["G_escaping_monomials"] = sorted(escape)[:10]
@@ -328,10 +323,6 @@ def _apply_sigma(p: MultiPoly, sigma) -> MultiPoly:
     out.terms = {e: sigma(c) for e, c in p.terms.items()}
     out.terms = {e: c for e, c in out.terms.items() if c}
     return out
-
-
-def _apply_sigma_elt(c, sigma):
-    return sigma(c)
 
 
 def appendix_b_singularity_check(report, truncation: int = 8):
@@ -450,14 +441,6 @@ def _points_distinct(points) -> bool:
 def c82_singular_system():
     """Polynomial system whose solutions are the off-axis triple points of
     c82 (chart z=1): the three partial derivatives of the octic."""
-    rec = corpus_get("c82")
-    f = rec.poly
-    names = f.vars
-    partials = [f.derivative(n) for n in names]
-    XY = (names[0], names[1])
-    out = []
-    for p in partials:
-        q = p.substitute({names[2]: MultiPoly.const(names, 1, QQ)})
-        out.append(MultiPoly(XY, {(e[0], e[1]): c
-                                  for e, c in q.terms.items()}, QQ))
-    return XY, out
+    f = corpus_get("c82").poly
+    out = [dehomogenize(f.derivative(n), 2) for n in f.vars]
+    return out[0].vars, out

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from . import fields as fl
 from .fields import FieldError, NumberField, QQ
 from .multipoly import (MultiPoly, PolyError, factor_bounded, parse_poly,
-                        resultant, squarefree_decomposition)
+                        poly_gcd_univ, resultant, squarefree_decomposition)
 
 
 class ElimError(ValueError):
@@ -447,7 +447,7 @@ def _classify_leaf(node: EliminationNode, cap: int, audit: list):
     polys = [g for g in node.gens if g.degree_in(var) >= 0]
     g = None
     for p in polys:
-        g = p if g is None else fl_gcd(g, p, var)
+        g = p if g is None else poly_gcd_univ(g, p, var)
     if g is None or g.is_zero():
         node.close("unresolved", "zero ideal in the last variable")
         audit.append({"node": node.path, "event": "unresolved",
@@ -472,11 +472,6 @@ def _classify_leaf(node: EliminationNode, cap: int, audit: list):
         node.close("solved")
         audit.append({"node": node.path, "event": "solved",
                       "factors": [p.to_text() for p in node.leaf_factors]})
-
-
-def fl_gcd(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
-    from .multipoly import poly_gcd_univ
-    return poly_gcd_univ(a, b, var)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +565,7 @@ def _ascend(chain, seed, degree_cap, name_counter):
             return
         g = univs[0]
         for h in univs[1:]:
-            g = fl_gcd(g, h, var)
+            g = poly_gcd_univ(g, h, var)
         if g.degree_in(var) <= 0:
             return  # inconsistent combination of values: prune silently
         _c, facs, unres = factor_bounded(g, var, degree_cap)

@@ -5,17 +5,15 @@ extensions, e.g. Q -> Q[eta] -> Q[eta][zeta] -> one further bounded
 extension), each level Q[a]/(p) given by a monic minimal
 polynomial.  Elements are coordinate vectors in the
 power basis 1, a, a^2, ...  All arithmetic is exact; no value is ever
-represented in floating point.  (Floating point appears only inside
-`sqrt_in_field` / `roots_in_field` as a *guess* generator; every guess is
-verified exactly before being returned.)
+represented in floating point.  Roots and square roots come from the
+exact factorizer in `factoring` (Zassenhaus over Q, Trager's norm method
+over towers).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import mpmath
 
 
 class FieldError(ValueError):
@@ -84,11 +82,12 @@ def up_divmod(p, q):
     r = list(p)
     d = len(q) - 1
     lead = q[-1]
+    inv = Fraction(1) / lead
     quot = [0 * lead] * max(0, len(r) - d)
     while len(up_trim(r)) - 1 >= d and up_trim(r):
         r = up_trim(r)
         k = len(r) - 1 - d
-        c = r[-1] / lead
+        c = r[-1] * inv
         quot[k] = c
         for i in range(len(q)):
             r[k + i] = r[k + i] - c * q[i]
@@ -100,7 +99,8 @@ def up_monic(p):
     p = up_trim(p)
     if not p:
         return p
-    return [a / p[-1] for a in p]
+    inv = Fraction(1) / p[-1]
+    return [a * inv for a in p]
 
 
 def up_gcd(p, q):
@@ -217,7 +217,6 @@ class NumberField:
             shifted = [base.zero()] + cur
             top = shifted[d] if len(shifted) > d else base.zero()
             cur = [shifted[i] + top * (-mp[i]) for i in range(d)]
-        self._embeddings = None
 
     def depth(self):
         return self.base.depth() + 1
@@ -277,14 +276,6 @@ class NumberField:
         if isinstance(other, RationalField):
             return True
         return self.base.contains_tower(other) if self.base is not None else False
-
-    def tower_varnames(self):
-        names = []
-        f = self
-        while isinstance(f, NumberField):
-            names.append(f.name)
-            f = f.base
-        return list(reversed(names))
 
     def __repr__(self):
         return f"NumberField({self.name}, deg {self.degree} over {self.base!r})"
@@ -536,10 +527,6 @@ class FieldAutomorphism:
         raise FieldError(f"order exceeds cap {cap}")
 
 
-def automorphism_apply(phi: FieldAutomorphism, a) -> FieldElement:
-    return phi.apply(a)
-
-
 # ---------------------------------------------------------------------------
 # structured-document loading / element serialization
 # ---------------------------------------------------------------------------
@@ -635,124 +622,12 @@ def sturm_real_roots(f: Sequence[Fraction]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bounded irreducibility certificate over Q (degree <= 4)
+# exact roots, through the factorizer in `factoring`
 # ---------------------------------------------------------------------------
 
-def _to_int_poly(f):
-    f = up_trim([Fraction(c) for c in f])
-    from math import lcm
-    den = 1
-    for c in f:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in f]
-    from math import gcd
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
-
-
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
 def rational_roots(f) -> list[Fraction]:
-    """All rational roots, by the rational-root theorem (exact)."""
-    ints = _to_int_poly(f)
-    if not ints:
-        raise FieldError("zero polynomial")
-    roots = []
-    # strip trailing zero constant => root 0
-    k = 0
-    while ints[k] == 0:
-        k += 1
-    if k:
-        roots.append(Fraction(0))
-        ints = ints[k:]
-    if len(ints) == 1:
-        return roots
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            for s in (1, -1):
-                cand = Fraction(s * p, q)
-                if cand in roots:
-                    continue
-                if up_eval([Fraction(c) for c in ints], cand) == 0:
-                    roots.append(cand)
-    return roots
-
-
-def is_irreducible_deg_le4(f) -> bool:
-    """Irreducibility over Q for degree <= 4, by exhaustive factor search.
-
-    Checks absence of rational roots, and for quartics absence of monic
-    quadratic factors with rational coefficients (finite search constrained
-    by divisors of the integer constant term).
-    """
-    ints = _to_int_poly(f)
-    deg = len(ints) - 1
-    if deg < 1 or deg > 4:
-        raise FieldError("degree out of supported range [1, 4]")
-    if deg == 1:
-        return True
-    if rational_roots(f):
-        return False
-    if deg <= 3:
-        return True
-    # quartic: look for monic rational quadratic factors; by Gauss's lemma it
-    # suffices to search integer quadratics of the primitivized polynomial
-    # when it is monic, else search rational b with bounded denominators.
-    a4, a3, a2, a1, a0 = ints[4], ints[3], ints[2], ints[1], ints[0]
-    # work with monic rational quartic t^4 + c3 t^3 + c2 t^2 + c1 t + c0
-    c3 = Fraction(a3, a4)
-    c2 = Fraction(a2, a4)
-    c1 = Fraction(a1, a4)
-    c0 = Fraction(a0, a4)
-    # factorization t^4+...= (t^2 + p t + q)(t^2 + r t + s):
-    #   p + r = c3, q + s + p r = c2, p s + q r = c1, q s = c0.
-    # Resolvent cubic: the possible values of u = q + s are roots of
-    #   u^3 - c2 u^2 + (c1 c3 - 4 c0) u - (c1^2 + c0 c3^2 - 4 c0 c2) = 0.
-    res = [-(c1 * c1 + c0 * c3 * c3 - 4 * c0 * c2),
-           c1 * c3 - 4 * c0, -c2, Fraction(1)]
-    for u in rational_roots(res):
-        # p r = c2 - u ; p + r = c3  => p,r roots of y^2 - c3 y + (c2-u)
-        disc = c3 * c3 - 4 * (c2 - u)
-        if disc < 0:
-            continue
-        rt = _fraction_sqrt(disc)
-        if rt is None:
-            continue
-        for sgn in (1, -1):
-            p = (c3 + sgn * rt) / 2
-            r = c3 - p
-            # q + s = u, q s = c0, p s + q r = c1
-            if p != r:
-                # solve linear: s - q = (c1 - p*u + ... ) handle generally
-                # p s + q r = c1 and q + s = u  => s (p - r) = c1 - r u
-                s = (c1 - r * u) / (p - r)
-                q = u - s
-            else:
-                disc2 = u * u - 4 * c0
-                if disc2 < 0:
-                    continue
-                rt2 = _fraction_sqrt(disc2)
-                if rt2 is None:
-                    continue
-                q = (u + rt2) / 2
-                s = u - q
-            if q * s == c0 and p * s + q * r == c1 and q + s + p * r == c2:
-                return False
-    return True
+    """All rational roots, in increasing order."""
+    return sorted(roots_in_field(f, QQ))
 
 
 def _fraction_sqrt(x: Fraction):
@@ -766,223 +641,32 @@ def _fraction_sqrt(x: Fraction):
     return None
 
 
-# ---------------------------------------------------------------------------
-# numeric embeddings + exact-verified sqrt / root finding
-# ---------------------------------------------------------------------------
-
-_PREC_DPS = 160
-
-
-def field_embeddings(field):
-    """Complex embeddings of a tower field, as {varname: complex} maps."""
-    if isinstance(field, RationalField):
-        return [{}]
-    if field._embeddings is not None:
-        return field._embeddings
-    base_embs = field_embeddings(field.base)
-    embs = []
-    with mpmath.workdps(_PREC_DPS):
-        for be in base_embs:
-            coeffs = [embed_element(c, be) for c in field.minpoly]
-            roots = mpmath.polyroots(list(reversed(coeffs)), maxsteps=200,
-                                     extraprec=200)
-            for r in roots:
-                e = dict(be)
-                e[field.name] = r
-                embs.append(e)
-    field._embeddings = embs
-    return embs
-
-
-def embed_element(x, emb):
-    """Numeric image of an element under an embedding map."""
-    if isinstance(x, (int, Fraction)):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator) \
-            if isinstance(x, Fraction) else mpmath.mpf(x)
-    g = emb[x.field.name]
-    acc = mpmath.mpc(0)
-    for c in reversed(x.coords):
-        acc = acc * g + embed_element(c, emb)
-    return acc
-
-
-def _reconstruct_fraction(x, max_digits=60):
-    """Rational reconstruction of an mpf via PSLQ; None on failure."""
-    if abs(x) < mpmath.mpf(10) ** (-mpmath.mp.dps * 2 // 3):
-        return Fraction(0)
-    try:
-        rel = mpmath.pslq([mpmath.mpf(1), x], maxcoeff=10 ** max_digits,
-                          maxsteps=10000)
-    except Exception:
-        return None
-    if rel is None or rel[1] == 0:
-        return None
-    return Fraction(-rel[0], rel[1])
-
-
-def reconstruct_element(field, values, embs=None):
-    """Exact element of `field` whose embeddings are `values` (guess+verify).
-
-    `values[i]` must be the image under `field_embeddings(field)[i]`.
-    Returns None if reconstruction fails verification.
-    """
-    if isinstance(field, RationalField):
-        with mpmath.workdps(_PREC_DPS):
-            v = values[0]
-            if abs(mpmath.im(v)) > mpmath.mpf(10) ** (-_PREC_DPS // 2):
-                return None
-            return _reconstruct_fraction(mpmath.re(v))
-    if embs is None:
-        embs = field_embeddings(field)
-    n = field.total_degree()
-    if len(values) != n:
-        raise FieldError("need one value per embedding")
-    with mpmath.workdps(_PREC_DPS):
-        # solve Vandermonde-style linear system for power-basis coords over Q
-        names = field.tower_varnames()
-        # basis monomials in tower generators
-        basis = _tower_basis_exponents(field)
-        A = mpmath.matrix(n, n)
-        b = mpmath.matrix(n, 1)
-        for i, emb in enumerate(embs):
-            for j, expo in enumerate(basis):
-                val = mpmath.mpc(1)
-                for name, e in zip(names, expo):
-                    val *= emb[name] ** e
-                A[i, j] = val
-            b[i] = values[i]
-        try:
-            sol = mpmath.lu_solve(A, b)
-        except Exception:
-            return None
-        coords_q = []
-        for j in range(n):
-            v = sol[j]
-            if abs(mpmath.im(v)) > mpmath.mpf(10) ** (-_PREC_DPS // 3):
-                return None
-            fr = _reconstruct_fraction(mpmath.re(v))
-            if fr is None:
-                return None
-            coords_q.append(fr)
-    return _element_from_q_coords(field, basis, coords_q)
-
-
-def _tower_basis_exponents(field):
-    if isinstance(field.base, RationalField):
-        return [(i,) for i in range(field.degree)]
-    inner = _tower_basis_exponents(field.base)
-    return [e + (i,) for i in range(field.degree) for e in inner]
-
-
-def _element_from_q_coords(field, basis, coords_q):
-    names = field.tower_varnames()
-    gens = []
-    f = field
-    tower = []
-    while isinstance(f, NumberField):
-        tower.append(f)
-        f = f.base
-    tower.reverse()
-    gen_elts = [field.coerce(t.gen()) if t is not field else field.gen()
-                for t in tower]
-    acc = field.zero()
-    for expo, c in zip(basis, coords_q):
-        term = field.coerce(c)
-        for g, e in zip(gen_elts, expo):
-            for _ in range(e):
-                term = term * g
-        acc = acc + term
-    return acc
-
-
 def sqrt_in_field(e):
-    """Exact square root of a field element, or None if none exists.
+    """A square root of e in its own field, or None if there is none.
 
-    Guesses via numeric embeddings, verifies exactly by squaring.
+    Over Q this is the nonnegative root; over a tower, a root of t^2 - e.
     """
     if isinstance(e, (int, Fraction)):
-        r = _fraction_sqrt(Fraction(e))
-        return r
-    field = e.field
-    embs = field_embeddings(field)
-    with mpmath.workdps(_PREC_DPS):
-        vals = [embed_element(e, emb) for emb in embs]
-        sq = [mpmath.sqrt(v) for v in vals]
-        n = len(sq)
-        if n > 13:
-            # sign-pattern search out of reach; callers treat None as
-            # "no square root found within bounds"
-            return None
-        # try sign patterns (first sign fixed: -s is also a root)
-        import itertools
-        for signs in itertools.product((1, -1), repeat=n - 1):
-            cand_vals = [sq[0]] + [s * v for s, v in zip(signs, sq[1:])]
-            cand = reconstruct_element(field, cand_vals, embs)
-            if cand is not None and cand * cand == e:
-                return cand
-    return None
+        return _fraction_sqrt(Fraction(e))
+    roots = roots_in_field([-e, e.field.zero(), e.field.one()], e.field)
+    return roots[0] if roots else None
 
 
 def roots_in_field(poly, field):
-    """Roots in `field` of a univariate polynomial over `field` (exact-verified).
+    """Roots in `field` of a univariate polynomial over `field`.
 
-    Handles degree 1 exactly; for higher degree, guesses each numeric root
-    in every embedding-consistent assignment and keeps exactly-verified ones.
+    The roots are the degree-1 factors of the exact factorization
+    (`factoring.irreducible_factors`).  A factorization left unresolved
+    raises FieldError instead of reporting roots as absent.
     """
     poly = up_trim([field.coerce(c) for c in poly])
     if not poly:
         raise FieldError("zero polynomial")
-    # repeated roots confuse the numeric guess stage: reduce to the
-    # squarefree part first (root sets agree)
-    g = up_gcd(poly, up_derivative(poly))
-    if up_deg(g) > 0:
-        poly = up_divmod(poly, g)[0]
-    deg = len(poly) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [-poly[0] / poly[1]]
-    if isinstance(field, RationalField):
-        return rational_roots(poly)
-    if deg == 2:
-        a, b, c = poly[2], poly[1], poly[0]
-        disc = b * b - 4 * a * c
-        s = sqrt_in_field(disc)
-        if s is None:
-            return []
-        r1 = (-b + s) / (2 * a)
-        r2 = (-b - s) / (2 * a)
-        return [r1] if r1 == r2 else [r1, r2]
-    # general bounded search: numeric roots per embedding, reconstruct
-    embs = field_embeddings(field)
-    found = []
-    with mpmath.workdps(_PREC_DPS):
-        per_emb_roots = []
-        for emb in embs:
-            cs = [embed_element(c, emb) for c in poly]
-            per_emb_roots.append(mpmath.polyroots(list(reversed(cs)),
-                                                  maxsteps=200, extraprec=200))
-        # a root in `field` restricts to a root in each embedding; try to
-        # match the *same index pattern* greedily: for each root of the first
-        # embedding, pick the closest root in the others won't work in
-        # general, so try all tuples for small degree
-        import itertools
-        if deg ** len(embs) > 20000:
-            return _roots_via_linear_refine(poly, field)
-        for combo in itertools.product(*[range(deg)] * len(embs)):
-            vals = [per_emb_roots[i][combo[i]] for i in range(len(embs))]
-            cand = reconstruct_element(field, vals, embs)
-            if cand is None:
-                continue
-            if not up_eval(poly, cand):
-                if cand not in found:
-                    found.append(cand)
-    return found
-
-
-def _roots_via_linear_refine(poly, field):
-    # fallback: only rational roots of large systems
-    out = []
-    for r in ():
-        out.append(r)
-    return out
+    if len(poly) <= 2:
+        return [-poly[0] / poly[1]] if len(poly) == 2 else []
+    from .factoring import irreducible_factors
+    factors, unresolved = irreducible_factors(poly, field)
+    if unresolved:
+        raise FieldError("factorization left unresolved at the "
+                         "recombination budget")
+    return [-q[0] for q in factors if len(q) == 2]

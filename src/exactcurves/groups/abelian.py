@@ -126,68 +126,20 @@ def smith_normal_form(M: Sequence[Sequence[int]]):
                         col_swap(t, j)
                         done = False
             if done:
-                break
+                # d1 | d2 | ...: when the pivot does not divide the rest of
+                # the block, add an offending row and keep pivoting (the
+                # pivot's magnitude drops each time)
+                d = A[t][t]
+                bad = next((i for i in range(t + 1, r)
+                            if any(A[i][j] % d for j in range(t + 1, c))),
+                           None)
+                if bad is None:
+                    break
+                row_op(t, bad, 1)
         if A[t][t] < 0:
             row_neg(t)
         t += 1
-    return _chain_fix(A, U, V, t)
-
-
-def _chain_fix(A, U, V, t):
-    """Ensure divisibility d1 | d2 | ... by gcd-absorbing passes."""
-    import math
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if b % a != 0:
-                g = math.gcd(a, b)
-                lcm = a // g * b
-                A[i][i], A[i + 1][i + 1] = g, lcm
-                # transforms: [[1,1],[0,1]] style updates on U/V restricted
-                # to rows/cols i, i+1 using the standard 2x2 identity
-                #   [a 0; 0 b] = P [g 0; 0 lcm] Q for unimodular P, Q
-                x, y = _bezout(a, b)
-                # U' rows: combine rows i, i+1
-                _two_by_two(U, A, V, i, a, b, g, lcm, x, y)
-                changed = True
-    diag = [A[i][i] for i in range(t)]
-    return diag, A, U, V
-
-
-def _bezout(a, b):
-    # x*a + y*b = g
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t2, t2 = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t2, t2 = t2, old_t2 - q * t2
-    return old_s, old_t2
-
-
-def _two_by_two(U, A, V, i, a, b, g, lcm, x, y):
-    """Absorb a 2x2 diagonal block diag(a, b) into diag(g, lcm) by
-    unimodular P (rows of U) and Q (columns of V):
-    P = [[x, y], [-b//g, a//g]],  Q = [[1, -(b//g)*y], [1, (a//g)*x]]."""
-    P = [[x, y], [-(b // g), a // g]]
-    Q = [[1, -(b // g) * y], [1, (a // g) * x]]
-    # sanity (cheap, exact):
-    M00 = P[0][0] * a * Q[0][0] + P[0][1] * b * Q[1][0]
-    M01 = P[0][0] * a * Q[0][1] + P[0][1] * b * Q[1][1]
-    M10 = P[1][0] * a * Q[0][0] + P[1][1] * b * Q[1][0]
-    M11 = P[1][0] * a * Q[0][1] + P[1][1] * b * Q[1][1]
-    assert (M00, M01, M10, M11) == (g, 0, 0, lcm)
-    r1, r2 = list(U[i]), list(U[i + 1])
-    U[i] = [P[0][0] * u + P[0][1] * v for u, v in zip(r1, r2)]
-    U[i + 1] = [P[1][0] * u + P[1][1] * v for u, v in zip(r1, r2)]
-    for row in V:
-        u, v = row[i], row[i + 1]
-        row[i] = u * Q[0][0] + v * Q[1][0]
-        row[i + 1] = u * Q[0][1] + v * Q[1][1]
+    return [A[i][i] for i in range(t)], A, U, V
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
@@ -348,9 +300,13 @@ def _hnf_reduce(hnf):
 
 def _xgcd(a, b):
     """(g, x, y) with x*a + y*b = g = gcd(a, b) > 0."""
-    x, y = _bezout(a, b)
-    g = x * a + y * b
-    return (g, x, y) if g > 0 else (-g, -x, -y)
+    old_r, r, old_x, x, old_y, y = a, b, 1, 0, 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    return (old_r, old_x, old_y) if old_r > 0 else (-old_r, -old_x, -old_y)
 
 
 def abelianization_with_images(p: Presentation):

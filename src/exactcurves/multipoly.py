@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .fields import (QQ, FieldElement, FieldError, NumberField, common_field,
-                     up_trim)
+                     up_deg, up_trim)
 
 
 class PolyError(ValueError):
@@ -392,58 +392,19 @@ def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return quot
 
 
-def divides(b: MultiPoly, a: MultiPoly) -> bool:
-    try:
-        exact_div(a, b)
-        return True
-    except PolyError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # resultants via subresultant PRS
 # ---------------------------------------------------------------------------
 
-def _uv_deg(p):
-    return len(p) - 1
-
-
-def _uv_trim(p):
-    p = list(p)
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _uv_mul_ring(p, q):
-    if not p or not q:
-        return []
-    out = [None] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if not b:
-                continue
-            v = a * b
-            out[i + j] = v if out[i + j] is None else out[i + j] + v
-    zero = p[0] * 0
-    return _uv_trim([zero if c is None else c for c in out])
-
-
-def _uv_scale_ring(p, c):
-    return _uv_trim([a * c for a in p])
-
-
 def _prem(A, B):
     """Pseudo-remainder: lc(B)^(degA-degB+1) * A mod B (no fractions)."""
     A = list(A)
-    dA, dB = _uv_deg(A), _uv_deg(B)
+    dA, dB = up_deg(A), up_deg(B)
     lb = B[-1]
     k = dA - dB + 1
-    while _uv_deg(_uv_trim(A)) >= dB and _uv_trim(A):
-        A = _uv_trim(A)
-        dA = _uv_deg(A)
+    while up_deg(up_trim(A)) >= dB and up_trim(A):
+        A = up_trim(A)
+        dA = up_deg(A)
         la = A[-1]
         A = [c * lb for c in A]
         shift = dA - dB
@@ -451,11 +412,11 @@ def _prem(A, B):
             A[shift + i] = A[shift + i] - la * B[i]
         A = A[:-1]
         k -= 1
-    A = _uv_trim(A)
+    A = up_trim(A)
     # normalize remaining power of lb
     for _ in range(max(0, k)):
         A = [c * lb for c in A]
-    return _uv_trim(A)
+    return up_trim(A)
 
 
 def _ring_exact_div_coeff(a, b):
@@ -471,10 +432,10 @@ def resultant_univ(A, B):
     Coefficient entries must support +, -, *, exact division and truthiness.
     Both inputs must be nonzero.
     """
-    A, B = _uv_trim(A), _uv_trim(B)
+    A, B = up_trim(A), up_trim(B)
     if not A or not B:
         raise PolyError("resultant of zero polynomial")
-    dA, dB = _uv_deg(A), _uv_deg(B)
+    dA, dB = up_deg(A), up_deg(B)
     if dA == 0 and dB == 0:
         return _ring_one_like(A[0])
     s = 1
@@ -493,7 +454,7 @@ def resultant_univ(A, B):
     h = _ring_one_like(A[-1])
     one = g
     while True:
-        dA, dB = _uv_deg(A), _uv_deg(B)
+        dA, dB = up_deg(A), up_deg(B)
         delta = dA - dB
         if dA % 2 == 1 and dB % 2 == 1:
             s = -s
@@ -519,9 +480,9 @@ def resultant_univ(A, B):
             for _ in range(delta - 1):
                 den = den * h
             h = _ring_exact_div_coeff(num, den)
-        if _uv_deg(B) <= 0:
+        if up_deg(B) <= 0:
             break
-    dA = _uv_deg(A)
+    dA = up_deg(A)
     lB = B[0]
     # res = lc(B)^deg(A) / h^(deg(A)-1)
     num = one
@@ -669,104 +630,39 @@ def squarefree_part(f: MultiPoly, name: str) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 def factor_bounded(f: MultiPoly, name: str, cap: int = 2):
-    """Factor the squarefree parts into irreducible factors of degree <= cap.
+    """Irreducible factors of f over its field, with multiplicities.
 
-    Returns (factors, unresolved): `factors` is a list of (MultiPoly, mult)
-    with each factor irreducible of degree <= cap (certified for deg <= 4 by
-    exhaustive search); `unresolved` lists residual polynomials no factor
-    could be split from within the cap.
+    Returns (content, factors, unresolved).  The factorization is exact
+    (`factoring.irreducible_factors`); `cap` only sorts its output:
+    `factors` lists (MultiPoly, mult) for the monic irreducible factors of
+    degree <= cap, and `unresolved` those of higher degree together with
+    any part the factorizer left unsplit at its recombination budget.
     """
-    from . import fields as fl
+    from .factoring import irreducible_factors
     content, parts = squarefree_decomposition(f, name)
-    factors = []
-    unresolved = []
+    factors, unresolved = [], []
+
+    def poly(q):
+        return MultiPoly.from_univariate(q, f.vars, name, f.field)
     for p, mult in parts:
-        rest = p.univariate_coeffs(name)
-        # linear factors via rational roots (exact for Q; verified guesses
-        # for number fields)
-        changed = True
-        while changed and fl.up_deg(rest) > 0:
-            changed = False
-            roots = fl.roots_in_field(rest, f.field)
-            for r in roots:
-                lin = [-_coerce_to(f.field, r), _one_of(f.field)]
-                q, rem = fl.up_divmod(rest, lin)
-                if not rem:
-                    factors.append((MultiPoly.from_univariate(
-                        lin, f.vars, name, f.field), mult))
-                    rest = q
-                    changed = True
-                    break
-        if fl.up_deg(rest) == 0:
-            continue
-        # try quadratic factors over Q when cap >= 2 (before accepting a
-        # remainder within the cap wholesale: a rootless quartic may still
-        # split into two quadratics)
-        if cap >= 2 and fl.up_deg(rest) > 2 and isinstance(f.field, type(QQ)):
-            rest, quads = _split_quadratics(rest, cap)
-            for qd in quads:
-                factors.append((MultiPoly.from_univariate(
-                    qd, f.vars, name, f.field), mult))
-        if fl.up_deg(rest) > 0:
-            if fl.up_deg(rest) <= cap:
-                factors.append((MultiPoly.from_univariate(
-                    fl.up_monic(rest), f.vars, name, f.field), mult))
-            else:
-                unresolved.append((MultiPoly.from_univariate(
-                    fl.up_monic(rest), f.vars, name, f.field), mult))
+        irreducible, unsplit = irreducible_factors(
+            p.univariate_coeffs(name), f.field)
+        for q in irreducible:
+            (factors if up_deg(q) <= cap else unresolved).append(
+                (poly(q), mult))
+        unresolved += [(poly(q), mult) for q in unsplit]
     return content, factors, unresolved
 
 
-def _one_of(field):
-    return field.one() if isinstance(field, NumberField) else Fraction(1)
-
-
-def _coerce_to(field, x):
-    return field.coerce(x) if isinstance(field, NumberField) else Fraction(x)
-
-
-def _split_quadratics(rest, cap):
-    """Split monic rational quadratic factors via verified numeric guesses."""
-    from . import fields as fl
-    import itertools
-    import mpmath
-    out = []
-    rest = fl.up_monic(rest)
-    progress = True
-    while progress and fl.up_deg(rest) > 2:
-        progress = False
-        deg = fl.up_deg(rest)
-        with mpmath.workdps(fl._PREC_DPS):
-            cs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                  for c in rest]
-            try:
-                roots = mpmath.polyroots(list(reversed(cs)), maxsteps=200,
-                                         extraprec=200)
-            except Exception:
-                break
-            for i, j in itertools.combinations(range(deg), 2):
-                b = -(roots[i] + roots[j])
-                c = roots[i] * roots[j]
-                if abs(mpmath.im(b)) > 1e-20 or abs(mpmath.im(c)) > 1e-20:
-                    continue
-                bf = fl._reconstruct_fraction(mpmath.re(b))
-                cf = fl._reconstruct_fraction(mpmath.re(c))
-                if bf is None or cf is None:
-                    continue
-                cand = [cf, bf, Fraction(1)]
-                q, rem = fl.up_divmod(rest, cand)
-                if not rem:
-                    if _is_irreducible_quadratic(cand):
-                        out.append(cand)
-                        rest = q
-                        progress = True
-                        break
-    return rest, out
-
-
-def _is_irreducible_quadratic(q):
-    from . import fields as fl
-    return not fl.rational_roots(q)
+def dehomogenize(f: MultiPoly, i: int) -> MultiPoly:
+    """The chart x_i = 1 of f: f with its i-th variable set to 1, as a
+    polynomial in the remaining variables."""
+    keep = [k for k in range(len(f.vars)) if k != i]
+    terms = {}
+    for e, c in f.terms.items():
+        key = tuple(e[k] for k in keep)
+        terms[key] = terms[key] + c if key in terms else c
+    return MultiPoly(tuple(f.vars[k] for k in keep), terms, f.field)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import fields as fl
-from .fields import QQ, FieldElement, NumberField
-from .multipoly import (MultiPoly, PolyError, poly_gcd_univ, resultant,
-                        squarefree_part)
+from .factoring import irreducible_factors
+from .fields import FieldElement, NumberField
+from .multipoly import MultiPoly, PolyError, dehomogenize, resultant
 
 
 class GermError(ValueError):
@@ -352,81 +352,60 @@ def _shear_away_vertical(f: MultiPoly, m: int):
     raise GermError("no shear separates the germ from the v-axis")
 
 
-def _strip_root(rest, r, field):
-    """Divide out (t - r) as often as it divides; returns (rest, mult)."""
-    mult = 0
-    lin = [-field.coerce(r), field.one()]
-    while True:
-        q, rem = fl.up_divmod(rest, lin)
-        if rem:
-            break
-        rest = q
-        mult += 1
-    return rest, mult
+def _irreducible_parts(poly, field):
+    """[(monic irreducible factor, multiplicity)] of a nonzero polynomial
+    over `field`, linear factors first; None when the factorization is
+    left unresolved."""
+    factors, unresolved = irreducible_factors(poly, field)
+    if unresolved:
+        return None
+    out = []
+    for q in factors:
+        mult = 0
+        while True:
+            quo, rem = fl.up_divmod(poly, q)
+            if rem:
+                break
+            poly, mult = quo, mult + 1
+        out.append((q, mult))
+    return out
+
+
+def _adjoinable(part, field):
+    """Extension policy: an irreducible factor of degree <= 4 over Q, or
+    of degree 2 over a tower of depth 1 or 2, may be adjoined."""
+    depth = field.depth()
+    return depth < 3 and fl.up_deg(part) <= (4 if depth == 0 else 2)
 
 
 def _edge_roots(poly_coeffs, field):
     """Roots (with multiplicities) of a univariate polynomial over `field`.
 
-    When some roots live outside the field, bounded extensions (degree <= 4
-    over Q, degree 2 over a depth-1 field) are adjoined.  Returns
+    Irreducible factors of degree > 1 are adjoined as bounded extensions
+    (`_adjoinable`), each giving its roots in that extension.  Returns
     (list of (root, mult, field), fully_split).
     """
     poly = fl.up_trim([field.coerce(c) for c in poly_coeffs])
+    parts = _irreducible_parts(poly, field)
+    if parts is None:
+        return [], False
     out = []
-    rest = poly
-    for r in fl.roots_in_field(poly, field):
-        rest, mult = _strip_root(rest, r, field)
-        if mult:
-            out.append((r, mult, field))
-    if fl.up_deg(rest) == 0:
-        return out, True
-    if field.depth() >= 3:
-        return out, False
-    mono = fl.up_monic(rest)
-    if isinstance(field, fl.RationalField):
-        parts = _q_irreducible_parts_mult(mono)
-        if parts is None:
-            return out, False
-    elif fl.up_deg(mono) == 2:
-        parts = [(mono, 1)]
-    else:
-        return out, False
     for part, mult in parts:
+        if len(part) == 2:
+            out.append((-part[0], mult, field))
+            continue
+        if not _adjoinable(part, field):
+            return out, False
         ext = NumberField(_fresh_ext_name(field), part, field)
-        lifted = [ext.coerce(c) for c in part]
-        if fl.up_deg(part) == 2:
-            # monic quadratic t^2 + b t + c: the generator and -b - gen
-            r1 = ext.gen()
-            part_roots = [r1, -ext.coerce(part[1]) - r1]
-        else:
-            part_roots = fl.roots_in_field(lifted, ext)
-        found_any = False
-        for r in part_roots:
-            _, k = _strip_root(lifted, r, ext)
-            if k:
-                out.append((r, mult, ext))
-                found_any = True
-        if not found_any:
+        w = ext.gen()
+        cofactor = fl.up_divmod([ext.coerce(c) for c in part],
+                                [-w, ext.one()])[0]
+        roots = [w] + fl.roots_in_field(cofactor, ext)
+        if len(roots) < fl.up_deg(part):
+            # conjugate roots outside ext remain unaccounted
             return out, False
-        # conjugate roots outside ext remain unaccounted
-        total = sum(1 for rr, _m, ff in out if ff is ext)
-        if total < fl.up_deg(part):
-            return out, False
+        out.extend((r, mult, ext) for r in roots)
     return out, True
-
-
-def _q_irreducible_parts_mult(mono):
-    """Irreducible factors (degree <= 4) of a rational polynomial with
-    multiplicities, as (coefficient list, multiplicity); None if any factor
-    stays unresolved."""
-    from .multipoly import factor_bounded
-    f = MultiPoly.from_univariate(
-        [Fraction(c) for c in mono], ("t",), "t")
-    _, fac, unres = factor_bounded(f, "t", cap=4)
-    if unres:
-        return None
-    return [(p.univariate_coeffs("t"), m) for p, m in fac]
 
 
 _EXT_COUNTER = [0]
@@ -435,10 +414,6 @@ _EXT_COUNTER = [0]
 def _fresh_ext_name(field):
     _EXT_COUNTER[0] += 1
     return f"w{_EXT_COUNTER[0]}"
-
-
-def _field_one(field):
-    return field.one()
 
 
 def _expand_branches(f: MultiPoly, remaining: int, depth: int):
@@ -582,29 +557,15 @@ def tangent_lines_and_concurrency(f: MultiPoly, points: Sequence):
 
 
 def _tangent_line_at(f: MultiPoly, point):
-    field = f.field
-    pt = []
-    for c in point:
-        if isinstance(c, FieldElement):
-            field = fl.common_field(field, c.field)
-    f = f.to_field(field)
-    pt = [field.coerce(c) for c in point]
-    i = next((k for k in (0, 1, 2) if pt[k]), None)
-    if i is None:
-        raise GermError("zero projective point")
-    j, k = [t for t in (0, 1, 2) if t != i]
-    names = f.vars
-    affine_vars = (names[j], names[k])
-    scale = 1 / pt[i]
-    a, b = pt[j] * scale, pt[k] * scale
-    chart = f.substitute({names[i]: MultiPoly.const(names, 1, field)})
-    chart2 = MultiPoly(affine_vars,
-                       {(e[j], e[k]): c for e, c in chart.terms.items()},
-                       field)
-    germ = CurveGerm(chart2, (a, b))
+    from .curves import projective_germ
+    germ = projective_germ(f, point)
     m, cone, is_power, L = multiplicity_and_cone(germ)
     if not is_power:
         raise GermError("point has a non-unique tangent line")
+    field = germ.field
+    i = next(k for k in (0, 1, 2) if point[k])
+    j, k = [t for t in (0, 1, 2) if t != i]
+    a, b = germ.point
     cu = L.terms.get((1, 0), field.zero())
     cv = L.terms.get((0, 1), field.zero())
     # affine line cu*(x_j - a*x_i) + cv*(x_k - b*x_i) = 0, homogenized
@@ -706,19 +667,10 @@ def _smooth_attempt(f: MultiPoly, witness):
 
 def _chart_no_common_zero(f, partials, i, witness):
     """True if the partials have no common zero in chart x_i = 1."""
-    names = f.vars
-    field = f.field
-    j, k = [t for t in range(3) if t != i]
-    one = MultiPoly.const(names, 1, field)
-    charts = []
-    for p in partials:
-        q = p.substitute({names[i]: one})
-        charts.append(MultiPoly((names[j], names[k]),
-                                {(e[j], e[k]): c for e, c in q.terms.items()},
-                                field))
+    charts = [dehomogenize(p, i) for p in partials]
     a, b, c = charts
-    x, y = names[j], names[k]
-    label = f"chart {names[i]}=1"
+    x, y = a.vars
+    label = f"chart {f.vars[i]}=1"
     nonconst = [p for p in (a, b, c) if p.degree() > 0]
     if not nonconst:
         if any(p for p in (a, b, c)):
@@ -767,8 +719,8 @@ def _chart_no_common_zero(f, partials, i, witness):
                 "is constant; no common zero")
             return True
         # candidate keep-coordinates: roots of g; check each exactly
-        verdict = _check_candidates(charts, elim, keep, g, field, witness,
-                                    label)
+        verdict = _check_candidates(charts, elim, keep, g, f.field,
+                                    witness, label)
         if verdict is not None:
             return verdict
     witness["steps"].append(f"{label}: no usable elimination; inconclusive")
@@ -776,63 +728,30 @@ def _chart_no_common_zero(f, partials, i, witness):
 
 
 def _check_candidates(charts, elim, keep, g, field, witness, label):
-    roots = fl.roots_in_field(g, field)
-    rem = [field.coerce(c) for c in g]
-    for r in roots:
-        lin = [-r, field.one()]
-        while True:
-            q, rr = fl.up_divmod(rem, lin)
-            if rr:
-                break
-            rem = q
-        point_sing = _common_zero_at(charts, elim, keep, r, field)
-        if point_sing:
+    parts, unresolved = irreducible_factors(g, field)
+    if unresolved:
+        witness["steps"].append(
+            f"{label}: candidate factorization unresolved; inconclusive")
+        return None
+    for part in parts:
+        if len(part) == 2:
+            ext, r = field, -part[0]
+        elif _adjoinable(part, field):
+            ext = NumberField(_fresh_ext_name(field), part, field)
+            r = ext.gen()
+        else:
+            witness["steps"].append(
+                f"{label}: residual candidate factor beyond supported "
+                "extensions; inconclusive")
+            return None
+        if _common_zero_at(charts, elim, keep, r, ext):
             witness["steps"].append(
                 f"{label}: common zero of the partials at {keep}={r!r}")
             return False
-    if fl.up_deg(rem) == 0:
-        witness["steps"].append(
-            f"{label}: all candidate {keep}-values checked; none is a "
-            "common zero")
-        return True
-    # residual candidates live in an extension; adjoin when possible
-    mono = fl.up_monic(rem)
-    if field.depth() < 2 and fl.up_deg(mono) <= 4:
-        if isinstance(field, fl.RationalField):
-            parts = _q_irreducible_parts(mono)
-        elif fl.up_deg(mono) == 2:
-            parts = [mono]
-        else:
-            parts = None
-        if parts is not None:
-            for part in parts:
-                ext = NumberField(_fresh_ext_name(field), part, field)
-                r = ext.gen()
-                ext_charts = [p.to_field(ext) for p in charts]
-                if _common_zero_at(ext_charts, elim, keep, r, ext):
-                    witness["steps"].append(
-                        f"{label}: common zero over an adjoined root of "
-                        f"{part}")
-                    return False
-            witness["steps"].append(
-                f"{label}: extension candidates checked; none is a common "
-                "zero")
-            return True
     witness["steps"].append(
-        f"{label}: residual candidate factor beyond supported extensions; "
-        "inconclusive")
-    return None
-
-
-def _q_irreducible_parts(mono):
-    """Split a squarefree rational polynomial into irreducible factors
-    (degree <= 4 each) for candidate checking; None if not possible."""
-    from .multipoly import factor_bounded, MultiPoly as MP
-    f = MP.from_univariate([Fraction(c) for c in mono], ("t",), "t")
-    _, fac, unres = factor_bounded(f, "t", cap=4)
-    if unres:
-        return None
-    return [p.univariate_coeffs("t") for p, _ in fac]
+        f"{label}: all candidate {keep}-values checked; none is a common "
+        "zero")
+    return True
 
 
 def _common_zero_at(charts, elim, keep, r, field):

@@ -7,11 +7,11 @@ import pytest
 
 from exactcurves.fields import (
     QQ, FieldAutomorphism, FieldElement, FieldError, NumberField,
-    element_from_doc, element_to_doc, field_create, field_embeddings,
-    field_from_doc, is_irreducible_deg_le4, rational_roots,
-    reconstruct_element, roots_in_field, sqrt_in_field, sturm_real_roots,
-    up_derivative, up_divmod, up_eval, up_gcd, up_trim,
+    element_from_doc, element_to_doc, field_create, field_from_doc,
+    rational_roots, roots_in_field, sqrt_in_field, sturm_real_roots,
+    up_derivative, up_divmod, up_eval, up_gcd, up_mul, up_trim,
 )
+from exactcurves.multipoly import MultiPoly, factor_bounded
 
 # The quartic t^4 - 2t^3 + t^2 - 2t - 2 and the Eisenstein quadratic on top.
 QUARTIC = [Fraction(-2), Fraction(-2), Fraction(1), Fraction(-2), Fraction(1)]
@@ -132,24 +132,42 @@ def test_sturm_standard_cases():
 
 # -- irreducibility / rational roots ----------------------------------------
 
+def factor_degrees(coeffs, cap=4):
+    """Degrees of the irreducible factors over Q found by factor_bounded,
+    and of those left unresolved."""
+    f = MultiPoly.from_univariate([Fraction(c) for c in coeffs], ("t",), "t")
+    _c, fac, unres = factor_bounded(f, "t", cap=cap)
+    return (sorted(p.degree_in("t") for p, _m in fac),
+            sorted(p.degree_in("t") for p, _m in unres))
+
+
 def test_quartic_irreducible():
-    assert is_irreducible_deg_le4(QUARTIC)
+    assert factor_degrees(QUARTIC) == ([4], [])
 
 
 def test_eisenstein_quadratic_irreducible():
-    assert is_irreducible_deg_le4([Fraction(1), Fraction(1), Fraction(1)])
+    assert factor_degrees([1, 1, 1]) == ([2], [])
 
 
 def test_reducible_quartics_detected():
     # (t^2+1)(t^2+2) = t^4 + 3t^2 + 2 : no rational roots, quadratic split
-    assert not is_irreducible_deg_le4(
-        [Fraction(2), Fraction(0), Fraction(3), Fraction(0), Fraction(1)])
+    assert factor_degrees([2, 0, 3, 0, 1]) == ([2, 2], [])
     # t^4 - 4 = (t^2-2)(t^2+2)
-    assert not is_irreducible_deg_le4(
-        [Fraction(-4), Fraction(0), Fraction(0), Fraction(0), Fraction(1)])
-    # rational root case
-    assert not is_irreducible_deg_le4(
-        [Fraction(-1), Fraction(0), Fraction(0), Fraction(1)] + [])
+    assert factor_degrees([-4, 0, 0, 0, 1]) == ([2, 2], [])
+    # rational root case: t^3 - 1 = (t - 1)(t^2 + t + 1)
+    assert factor_degrees([-1, 0, 0, 1]) == ([1, 2], [])
+
+
+def test_quartic_with_huge_coefficient_splits():
+    # (t^2 + 3*10^61*t + 2)(t^2 + t + 5): no rational root, and a
+    # numerical guess of the quadratic factors misses the large one
+    big = [Fraction(2), Fraction(3 * 10 ** 61), Fraction(1)]
+    small = [Fraction(5), Fraction(1), Fraction(1)]
+    f = MultiPoly.from_univariate(up_mul(big, small), ("t",), "t")
+    _c, fac, unres = factor_bounded(f, "t", cap=4)
+    assert not unres
+    assert sorted(p.univariate_coeffs("t") for p, _m in fac) == \
+        sorted([big, small])
 
 
 def test_rational_roots():
@@ -160,13 +178,17 @@ def test_rational_roots():
     assert rational_roots([Fraction(0), Fraction(1)]) == [Fraction(0)]
 
 
-# -- embeddings / verified guesses ------------------------------------------
+def test_rational_roots_with_huge_constant_term():
+    # trial division of a constant term near 10^40 never finishes
+    import time
+    r = Fraction(10 ** 40 + 7, 3)
+    p = up_mul([-r, Fraction(1)], [Fraction(3), Fraction(0), Fraction(1)])
+    t0 = time.monotonic()
+    assert rational_roots(p) == [r]
+    assert time.monotonic() - t0 < 5
 
-def test_embedding_count():
-    K, K1 = make_K1()
-    assert len(field_embeddings(K)) == 4
-    assert len(field_embeddings(K1)) == 8
 
+# -- exact roots over towers -------------------------------------------------
 
 def test_sqrt_in_field():
     K = make_K()
@@ -175,6 +197,15 @@ def test_sqrt_in_field():
     assert sqrt_in_field(Fraction(2)) is None
     assert sqrt_in_field((eta + 1) ** 2) in ((eta + 1), -(eta + 1))
     assert sqrt_in_field(eta ** 2 - 2 * eta) is None
+
+
+def test_sqrt_in_degree_16_tower():
+    # over Q(eta, zeta)(w), w^2 = 2: sixteen embeddings, beyond any search
+    # over their sign patterns
+    K, K1 = make_K1()
+    K2 = NumberField("w", [K1.coerce(-2), K1.zero(), K1.one()], K1)
+    x = K2.gen() + K2.coerce(K1.gen())
+    assert sqrt_in_field(x * x) in (x, -x)
 
 
 def test_roots_in_field():
@@ -189,16 +220,13 @@ def test_roots_in_field():
     assert roots_in_field([-eta, K.zero(), K.one()], K) == []
 
 
-def test_reconstruct_element_roundtrip():
-    import mpmath
-    from exactcurves.fields import _PREC_DPS, embed_element
+def test_root_beside_irreducible_cubic_over_K1():
+    # (t - zeta)(t^3 + t + 1) over Q(eta, zeta), of degree 8
     K, K1 = make_K1()
-    x = K1.coerce(K.gen()) ** 3 - 2 * K1.gen() + Fraction(7, 3)
-    embs = field_embeddings(K1)
-    with mpmath.workdps(_PREC_DPS):
-        vals = [embed_element(x, e) for e in embs]
-        y = reconstruct_element(K1, vals, embs)
-    assert y == x
+    z = K1.gen()
+    poly = up_mul([-z, K1.one()], [K1.one(), K1.one(), K1.zero(), K1.one()],
+                  K1.zero())
+    assert roots_in_field(poly, K1) == [z]
 
 
 # -- structured documents ----------------------------------------------------
