@@ -263,8 +263,10 @@ def expand_children(node: EliminationNode, pivot: MultiPoly, var: str,
     """Build the child nodes for one elimination step.
 
     One child per cartesian selection of surviving factors (one factor per
-    nonzero resultant), deduplicated; generators independent of `var` are
-    carried through.  Filtered factors are logged with the filter name.
+    resultant), deduplicated; generators independent of `var` are carried
+    through.  Filtered factors are logged with the filter name.  A zero
+    resultant closes the node unresolved, since its zero set may then hold
+    a whole component.
     """
     if audit is None:
         audit = []
@@ -272,18 +274,22 @@ def expand_children(node: EliminationNode, pivot: MultiPoly, var: str,
     node.var_eliminated = var
     carried = [g for g in node.gens
                if g is not pivot and g.degree_in(var) <= 0]
+    if any(entry["constant"] for entry in step_results):
+        node.close("contradictory", "nonzero constant resultant")
+        audit.append({"node": node.path, "event": "contradiction",
+                      "detail": "nonzero constant resultant"})
+        return []
+    zero = next((e for e in step_results if e["zero"]), None)
+    if zero is not None:
+        # the pivot shares a factor with a generator: the node's zero set
+        # may hold a whole component that no resultant sees
+        detail = "pivot shares a factor with " + zero["generator"].to_text()
+        node.close("unresolved", "zero resultant: " + detail)
+        audit.append({"node": node.path, "event": "zero_resultant",
+                      "detail": detail})
+        return []
     choice_sets = []
     for entry in step_results:
-        if entry["constant"]:
-            node.close("contradictory", "nonzero constant resultant")
-            audit.append({"node": node.path, "event": "contradiction",
-                          "detail": "nonzero constant resultant"})
-            return []
-        if entry["zero"]:
-            audit.append({"node": node.path, "event": "zero_resultant",
-                          "detail": "pivot shares a factor with "
-                                    + entry["generator"].to_text()})
-            continue
         surviving = []
         for p in entry["factors"] + entry["unresolved"]:
             hit = next((f for f in filters if f.matches(p)), None)
@@ -421,7 +427,7 @@ def search(root: EliminationNode, order: Optional[Sequence[str]] = None,
         children = expand_children(node, pivot, var, steps, filters, audit)
         if node.status == "open":
             node.close("expanded")
-        if node.status in ("contradictory", "closed"):
+        if node.status in ("contradictory", "closed", "unresolved"):
             leaves.append(node)
         # push in reverse so child .0 is explored first (deterministic DFS)
         stack.extend(reversed(children))

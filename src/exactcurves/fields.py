@@ -110,29 +110,6 @@ def up_gcd(p, q):
     return up_monic(p)
 
 
-def up_ext_euclid(p, q):
-    """Return (g, s, t) with s*p + t*q = g, g monic gcd."""
-    r0, r1 = up_trim(p), up_trim(q)
-    s0, s1 = [_one_like(p, q)], []
-    t0, t1 = [], [_one_like(p, q)]
-    while r1:
-        quo, rem = up_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, up_sub(s0, up_mul(quo, s1))
-        t0, t1 = t1, up_sub(t0, up_mul(quo, t1))
-    if not r0:
-        return [], s0, t0
-    lc = r0[-1]
-    return up_monic(r0), up_scale(s0, 1 / lc), up_scale(t0, 1 / lc)
-
-
-def _one_like(p, q):
-    for c in list(p) + list(q):
-        if c:
-            return c / c
-    return Fraction(1)
-
-
 def up_eval(p, x):
     acc = 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
     for c in reversed(list(p)):
@@ -197,9 +174,7 @@ class NumberField:
         if base_depth >= 3:
             raise FieldError("tower depth exceeded (at most 3 extensions "
                              "over Q)")
-        mp = [base.coerce(c) if not isinstance(c, FieldElement) else c
-              for c in minpoly]
-        mp = up_trim(mp)
+        mp = up_trim([base.coerce(c) for c in minpoly])
         if len(mp) < 2:
             raise FieldError("minimal polynomial must have degree >= 1")
         if mp[-1] != base.one():
@@ -245,30 +220,16 @@ class NumberField:
         if len(coords) != self.degree:
             raise FieldError(
                 f"expected {self.degree} coordinates, got {len(coords)}")
-        coords = [self.base.coerce(c) if not isinstance(c, FieldElement)
-                  or c.field is not self.base else c for c in coords]
-        return FieldElement(self, coords)
+        return FieldElement(self, [self.base.coerce(c) for c in coords])
 
     def coerce(self, x):
-        if isinstance(x, FieldElement):
-            if x.field is self:
-                return x
-            if x.field is self.base or (
-                    isinstance(self.base, NumberField)
-                    and isinstance(x.field, NumberField)
-                    and x.field is self.base):
-                coords = [x] + [self.base.zero()] * (self.degree - 1)
-                return FieldElement(self, coords)
-            # Q-level constants of a different field
-            r = x.as_base_constant_recursive()
-            if r is not None:
-                return self.coerce(r)
-            raise FieldError(f"cannot coerce element of {x.field} into {self}")
-        if isinstance(x, (int, Fraction)):
-            coords = [self.base.coerce(x)] + \
-                [self.base.zero()] * (self.degree - 1)
-            return FieldElement(self, coords)
-        raise FieldError(f"cannot coerce {x!r} into {self}")
+        """x itself when it lies in this field, else x embedded from the
+        base field (so elements of every lower level of the tower, and
+        rational constants of any field, come in)."""
+        if isinstance(x, FieldElement) and x.field is self:
+            return x
+        coords = [self.base.coerce(x)] + [self.base.zero()] * (self.degree - 1)
+        return FieldElement(self, coords)
 
     def contains_tower(self, other):
         if other is self:
@@ -376,16 +337,23 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self):
+        """Extended Euclid on (minpoly, coords), keeping only the cofactor
+        of the element: t*x = r (mod minpoly) throughout."""
         if not self:
             raise ZeroDivisionError("field element is zero")
         f = self.field
-        g, s, _ = up_ext_euclid(list(self.coords), f.minpoly)
-        if up_deg(g) != 0:
+        r0, r1 = f.minpoly, up_trim(self.coords)
+        t0, t1 = [], [f.base.one()]
+        while up_deg(r1) > 0:
+            quo, rem = up_divmod(r0, r1)
+            r0, r1 = r1, rem
+            t0, t1 = t1, up_sub(t0, up_mul(quo, t1))
+        if not r1:
             raise FieldError("minimal polynomial not irreducible: "
                              "zero divisor encountered")
-        s = up_mul(s, [f.base.one() / g[0]]) if g[0] != f.base.one() else s
-        coords = list(s) + [f.base.zero()] * (f.degree - len(s))
-        return FieldElement(f, coords[:f.degree])
+        coords = up_scale(t1, 1 / r1[0])
+        coords += [f.base.zero()] * (f.degree - len(coords))
+        return FieldElement(f, coords)
 
     def __truediv__(self, other):
         try:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .fields import (QQ, FieldElement, FieldError, NumberField, common_field,
-                     up_deg, up_trim)
+                     element_from_doc, element_to_doc, up_deg, up_trim)
 
 
 class PolyError(ValueError):
@@ -819,29 +819,9 @@ def _gen_element(field, name):
 
 def poly_to_sparse(p: MultiPoly):
     """Canonical sparse serialization: sorted [[exponents], [coordinates]]."""
-    out = []
-    for e, c in p.sorted_terms():
-        out.append([list(e), _coeff_to_coords(c)])
-    return out
-
-
-def _coeff_to_coords(c):
-    if isinstance(c, Fraction):
-        return str(c)
-    return [_coeff_to_coords(x) for x in c.coords]
+    return [[list(e), element_to_doc(c)] for e, c in p.sorted_terms()]
 
 
 def poly_from_sparse(data, varnames, field=QQ) -> MultiPoly:
-    terms = {}
-    for expo, coords in data:
-        terms[tuple(expo)] = _coeff_from_coords(coords, field)
-    return MultiPoly(varnames, terms, field)
-
-
-def _coeff_from_coords(coords, field):
-    if isinstance(coords, str):
-        return Fraction(coords)
-    if isinstance(field, NumberField):
-        return field.element(
-            [_coeff_from_coords(c, field.base) for c in coords])
-    raise PolyError("coordinate nesting deeper than the field tower")
+    return MultiPoly(varnames, {tuple(expo): element_from_doc(field, coords)
+                                for expo, coords in data}, field)

@@ -314,28 +314,29 @@ def puiseux_branches(germ: CurveGerm, truncation: int = 8):
     Branch exponents are restricted to integers; a germ needing fractional
     exponents is rejected.  Branch coefficients live in the germ's field or
     a bounded extension adjoined on the way.
+
+    Every branch is certified by its expansion path alone, with no
+    substitution back into f.  The path u = v*(a1 + w1), w1 = v*(a2 + w2),
+    ..., of T = `truncation` steps, each dividing out v^(m_i) with m_i the
+    multiplicity at step i, ends at a sub-germ f_T that `_expand_branches`
+    accepts only when it is smooth and transversal to the line v = 0, so
+    f_T holds exactly one branch.  Setting w_T = 0 gives
+    f(s(v), v) = v^M * f_T(0, v) with M = m_0 + ... + m_(T-1) >= T, and
+    f_T(0, 0) = 0, so f(s(v), v) has order at least T + 1 in v
+    (`BranchExpansion.residual_valuation` computes it).  Each branch is
+    smooth, and the multiplicity of a germ is the sum of those of its
+    branches, so it equals the branch count.
     """
     f = germ.f
     if not germ.on_curve():
         raise GermError("point not on curve")
-    u, v = f.vars
     m = f.min_degree()
     cone = f.homogeneous_part(m)
     shear = None
     if not _cone_coeff(cone, m, 0):
         f, shear = _shear_away_vertical(f, m)
-    raw = _expand_branches(f, truncation, 0)
-    branches = []
-    for coeffs, field in raw:
-        coeffs = list(coeffs) + [field.zero()] * (truncation - len(coeffs))
-        branches.append(BranchExpansion(f.vars, coeffs[:truncation], field,
-                                        truncation))
-    for b in branches:
-        val = b.residual_valuation(f)
-        if val <= truncation:
-            raise GermError(
-                "branch residual has order <= truncation; truncation too "
-                "small to separate branches")
+    branches = [BranchExpansion(f.vars, coeffs, field, truncation)
+                for coeffs, field in _expand_branches(f, truncation)]
     return branches, shear
 
 
@@ -352,25 +353,6 @@ def _shear_away_vertical(f: MultiPoly, m: int):
     raise GermError("no shear separates the germ from the v-axis")
 
 
-def _irreducible_parts(poly, field):
-    """[(monic irreducible factor, multiplicity)] of a nonzero polynomial
-    over `field`, linear factors first; None when the factorization is
-    left unresolved."""
-    factors, unresolved = irreducible_factors(poly, field)
-    if unresolved:
-        return None
-    out = []
-    for q in factors:
-        mult = 0
-        while True:
-            quo, rem = fl.up_divmod(poly, q)
-            if rem:
-                break
-            poly, mult = quo, mult + 1
-        out.append((q, mult))
-    return out
-
-
 def _adjoinable(part, field):
     """Extension policy: an irreducible factor of degree <= 4 over Q, or
     of degree 2 over a tower of depth 1 or 2, may be adjoined."""
@@ -378,34 +360,35 @@ def _adjoinable(part, field):
     return depth < 3 and fl.up_deg(part) <= (4 if depth == 0 else 2)
 
 
-def _edge_roots(poly_coeffs, field):
-    """Roots (with multiplicities) of a univariate polynomial over `field`.
+def _edge_roots(edge, field):
+    """Distinct roots of an edge polynomial, as [(root, field)].
 
     Irreducible factors of degree > 1 are adjoined as bounded extensions
-    (`_adjoinable`), each giving its roots in that extension.  Returns
-    (list of (root, mult, field), fully_split).
+    (`_adjoinable`), each giving its roots in that extension.  None when
+    the polynomial does not split that way, a factorization left
+    unresolved included.
     """
-    poly = fl.up_trim([field.coerce(c) for c in poly_coeffs])
-    parts = _irreducible_parts(poly, field)
-    if parts is None:
-        return [], False
+    factors, unresolved = irreducible_factors(edge, field)
+    if unresolved:
+        return None
     out = []
-    for part, mult in parts:
+    for part in factors:
         if len(part) == 2:
-            out.append((-part[0], mult, field))
+            out.append((-part[0], field))
             continue
         if not _adjoinable(part, field):
-            return out, False
+            return None
         ext = NumberField(_fresh_ext_name(field), part, field)
         w = ext.gen()
         cofactor = fl.up_divmod([ext.coerce(c) for c in part],
                                 [-w, ext.one()])[0]
-        roots = [w] + fl.roots_in_field(cofactor, ext)
-        if len(roots) < fl.up_deg(part):
+        conjugates, unresolved = irreducible_factors(cofactor, ext)
+        roots = [w] + [-q[0] for q in conjugates if len(q) == 2]
+        if unresolved or len(roots) < fl.up_deg(part):
             # conjugate roots outside ext remain unaccounted
-            return out, False
-        out.extend((r, mult, ext) for r in roots)
-    return out, True
+            return None
+        out.extend((r, ext) for r in roots)
+    return out
 
 
 _EXT_COUNTER = [0]
@@ -416,30 +399,34 @@ def _fresh_ext_name(field):
     return f"w{_EXT_COUNTER[0]}"
 
 
-def _expand_branches(f: MultiPoly, remaining: int, depth: int):
-    """Recursive integer-exponent expansion; returns [(coeff list, field)]."""
+def _expand_branches(f: MultiPoly, remaining: int):
+    """Recursive integer-exponent expansion; returns [(coeff list, field)],
+    one per branch, each list holding exactly `remaining` coefficients.
+
+    Each level needs an edge polynomial cone(t, 1) of full degree m, so
+    that no branch is tangent to the line v = 0.  A path stops only where
+    that holds with m = 1: a smooth sub-germ transversal to v = 0, which
+    is a single branch.
+    """
     u, v = f.vars
     m = f.min_degree()
-    if m == 0:
-        raise GermError("internal: sub-germ does not vanish at origin")
-    if remaining <= 0:
-        if m == 1:
-            return [([], f.field)]
-        raise GermError("truncation too small to separate branches")
     cone = f.homogeneous_part(m)
     # edge polynomial cone(t, 1): directions u = t*v
-    edge = [_cone_coeff(cone, i, m - i) for i in range(m + 1)]
-    edge = fl.up_trim(edge)
+    edge = fl.up_trim([_cone_coeff(cone, i, m - i) for i in range(m + 1)])
     if fl.up_deg(edge) != m:
         raise GermError(
             "fractional exponents required (branch tangent to the v-axis "
             "below the top level): out of scope")
-    roots, full = _edge_roots(edge, f.field)
-    if not full:
+    if remaining <= 0:
+        if m == 1:
+            return [([], f.field)]
+        raise GermError("truncation too small to separate branches")
+    roots = _edge_roots(edge, f.field)
+    if roots is None:
         raise GermError(
             "branch tangent direction outside supported field extensions")
     out = []
-    for a, mult, field in roots:
+    for a, field in roots:
         g = f.to_field(field) if field is not f.field else f
         U = MultiPoly.var(f.vars, u, field)
         V = MultiPoly.var(f.vars, v, field)
@@ -448,7 +435,7 @@ def _expand_branches(f: MultiPoly, remaining: int, depth: int):
         sub = _divide_out_v(sub, m)
         if sub.is_zero() or (0, 0) in sub.terms:
             raise GermError("internal: sub-germ does not vanish at origin")
-        for tail, tfield in _expand_branches(sub, remaining - 1, depth + 1):
+        for tail, tfield in _expand_branches(sub, remaining - 1):
             out.append(([tfield.coerce(a)] + list(tail), tfield))
     return out
 

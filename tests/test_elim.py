@@ -49,6 +49,18 @@ def test_eliminate_step_zero_resultant_flagged():
     assert res[0]["zero"]
 
 
+@pytest.mark.parametrize("gens", [["x*y", "x*y + x"],
+                                  ["(x-1)*(y-2)", "(x-1)*(y+3)"]])
+def test_zero_resultant_reported_unresolved(gens):
+    # the generators share a factor in x, so the system vanishes on a whole
+    # line (x = 0, x = 1) that no resultant in x sees
+    rep = solve_system(make_root(V2, [P(g) for g in gens]), order=["x"])
+    assert not rep["solutions"]
+    assert [n.path for n in rep["unresolved"]] == ["0"]
+    assert "zero resultant" in rep["unresolved"][0].status_reason
+    assert [a["event"] for a in rep["audit"]] == ["zero_resultant"]
+
+
 def test_eliminate_step_pivot_errors():
     root = make_root(V2, [P("y^2 - 1"), P("x - y")])
     with pytest.raises(ElimError):

@@ -71,6 +71,19 @@ def test_cross_level_coercion():
     assert (s - eta) == z
 
 
+def test_coercion_through_the_whole_tower():
+    # over Q(eta, zeta)(w) an element of Q(eta) comes in two levels up
+    K, K1 = make_K1()
+    K2 = NumberField("w", [K1.coerce(-2), K1.zero(), K1.one()], K1)
+    eta, w = K.gen(), K2.gen()
+    assert K2.coerce(eta) == K2.coerce(K1.coerce(eta))
+    assert (w + eta).field is K2
+    assert w + eta == eta + w
+    assert (w + eta) - w == K2.coerce(eta)
+    # rational constants of any level still come down to Q
+    assert QQ.coerce(K2.coerce(Fraction(3, 4))) == Fraction(3, 4)
+
+
 def test_division_and_zero_division():
     K = make_K()
     eta = K.gen()

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from exactcurves import factoring
 from exactcurves.fields import NumberField, QQ
 from exactcurves.multipoly import MultiPoly, parse_poly
 from exactcurves.singular import (
@@ -150,11 +151,54 @@ def test_fractional_branch_rejected():
         puiseux_branches(germ)
 
 
+@pytest.mark.parametrize("text, truncation", [("u^2 - v^17", 8),
+                                              ("u^2 - v^3", 1)])
+def test_fractional_branch_at_last_level_rejected(text, truncation):
+    # u = v^(17/2), u = v^(3/2): the last sub-germ, w^2 - v, is smooth but
+    # tangent to v = 0, so no integer-exponent branch ends there
+    germ = CurveGerm(parse_poly(text, UV))
+    with pytest.raises(GermError):
+        puiseux_branches(germ, truncation=truncation)
+
+
+def test_unresolved_edge_factorization_is_germ_error(monkeypatch):
+    # the conjugates of a root of t^4 - 2 over Q(w) go unresolved
+    monkeypatch.setattr(factoring, "RECOMBINATION_BUDGET", 1)
+    germ = CurveGerm(parse_poly("u^4 - 2*v^4 + v^5", UV))
+    with pytest.raises(GermError):
+        puiseux_branches(germ)
+
+
+# every germ this module expands, with the truncation it is expanded to
+EXPANDED = [
+    ("(u-v^2)*(u-v^3)*(u+v^3)", 8),
+    ("(u-v^2)*(u^2-v^6)", 8),
+    ("(u-v^2)*(u-v^3)", 8),
+    ("(u-v^2)*(u-v^3)*(u-v+v^3)", 8),
+    ("(u-v^2)*(u-v^2-v^4)*(u-v^2-2*v^4)", 8),
+    ("u - v - v^2", 8),
+    ("u^2 - 2*v^2 + v^3", 8),
+    ("u^2 - v^2 + v^3", 8),
+    ("(u-v^2)*(v-u^2)", 8),  # tangent to v = 0: sheared first
+    ("(u-v^2)*(u^2-v^6)", 3),
+]
+
+
 def test_branch_residual_valuation():
-    germ = CurveGerm(parse_poly("(u-v^2)*(u^2-v^6)", UV))
-    branches, _ = puiseux_branches(germ, truncation=8)
-    for b in branches:
-        assert b.residual_valuation(germ.f) > 8
+    # oracle for the expansion's own argument: substituting each branch
+    # back into the germ it came from leaves order > truncation
+    germs = [(CurveGerm(parse_poly(t, UV)), n) for t, n in EXPANDED]
+    germs += [(CurveGerm(_sheared_composite(seed)), 8) for seed in range(30)]
+    for germ, n in germs:
+        branches, shear = puiseux_branches(germ, truncation=n)
+        f = germ.f
+        if shear is not None:
+            U = MultiPoly.var(UV, "u", f.field)
+            V = MultiPoly.var(UV, "v", f.field)
+            f = f.substitute({"v": V + shear * U})
+        for b in branches:
+            assert len(b.coeffs) == n
+            assert b.residual_valuation(f) > n, (germ, b)
 
 
 # -- composite certificate ---------------------------------------------------
@@ -176,6 +220,13 @@ def test_composite_rejects_distinct_tangents():
         CurveGerm(parse_poly("(u-v^2)*(u-v^3)*(u-v+v^3)", UV)))
     assert cert.verdict == "OTHER"
     assert "tangent" in cert.reason
+
+
+def test_composite_rejects_a16_cusp_branch():
+    # two smooth branches and an A16 cusp u^2 = v^17, multiplicity 4
+    f = parse_poly("(u - v^2 - v^3)*(u - v^2 - 2*v^3)*(u^2 - v^17)", UV)
+    with pytest.raises(GermError):
+        certify_composite(CurveGerm(f))
 
 
 def test_composite_rejects_wrong_contacts():
@@ -289,8 +340,7 @@ def test_certificate_invariant_under_linear_change(seed):
     assert cert.multiplicity == {"E6": 3, "A2": 2, "A1": 2}[expected]
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_composite_invariant_under_shear(seed):
+def _sheared_composite(seed):
     rng = random.Random(95_000 + seed)
     f = parse_poly("(u-v^2)*(u^2-v^6)", UV)
     # shears u -> u + t*v keep all branches integer-exponent
@@ -298,7 +348,11 @@ def test_composite_invariant_under_shear(seed):
     u, v = f.vars
     U = MultiPoly.var(UV, u, f.field)
     V = MultiPoly.var(UV, v, f.field)
-    g = f.substitute({u: U + t * V})
-    cert = certify_composite(CurveGerm(g))
+    return f.substitute({u: U + t * V})
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_composite_invariant_under_shear(seed):
+    cert = certify_composite(CurveGerm(_sheared_composite(seed)))
     assert cert.verdict == "COMPOSITE_3BRANCH"
     assert cert.contacts == (2, 2, 3)
