@@ -3,7 +3,7 @@
 Each check re-runs one of the toolkit's reproduction targets and compares
 the outcome against the published value.  Statuses are "pass", "fail",
 "unresolved" (computation finished but could not decide the strongest
-claim — never silently promoted to pass), or "skipped".
+claim — never silently promoted to pass).
 """
 
 from __future__ import annotations
@@ -210,31 +210,37 @@ def _check_power_map_mechanism():
     return ("pass" if ok else "fail"), details
 
 
-def _check_octic_family_assembly(with_singularities=False):
+def _assembled_octic_family():
+    """(label, report, structural checks passed) per candidate mapping."""
+    for mapping in appendix_b_mappings():
+        rep = assemble_appendix_b(mapping)
+        yield mapping["label"], rep, all(
+            bool(v) for v in rep["checks"].values() if isinstance(v, bool))
+
+
+def _check_octic_family_assembly():
     details = {}
     status = "pass"
-    for mapping in appendix_b_mappings():
-        label = mapping["label"]
-        rep = assemble_appendix_b(mapping)
-        entry = dict(rep["checks"])
-        structural = all(bool(v) for k, v in entry.items()
-                         if isinstance(v, bool))
+    for label, rep, structural in _assembled_octic_family():
         if not structural:
             status = "fail"
-        if with_singularities and rep.get("F") is not None:
-            sing = appendix_b_singularity_check(rep)
-            entry["singularity_status"] = sing["status"]
-            entry["singularity_points"] = sing["points"]
-            if sing["status"] != "pass":
-                status = "unresolved" if status == "pass" else status
-        elif not with_singularities:
-            entry["singularity_status"] = "skipped (deep check)"
-        details[label] = _plain(entry)
+        details[label] = _plain(rep["checks"])
     return status, details
 
 
-def _check_octic_family_assembly_deep():
-    return _check_octic_family_assembly(with_singularities=True)
+def _check_octic_family_singularities():
+    details = {}
+    status = "pass"
+    for label, rep, structural in _assembled_octic_family():
+        if not structural:
+            status = "fail"
+        sing = appendix_b_singularity_check(rep)
+        if sing["status"] != "pass" and status == "pass":
+            status = "unresolved"
+        details[label] = _plain(dict(rep["checks"],
+                                     singularity_status=sing["status"],
+                                     singularity_points=sing["points"]))
+    return status, details
 
 
 def _check_quartic_smoothness():
@@ -311,10 +317,11 @@ _CHECKS = [
      "invariance, coefficients in the fixed field, per candidate "
      "constant mapping",
      ("curves",), _check_octic_family_assembly),
-    ("octic-family-assembly-deep",
-     "as octic-family-assembly plus composite singularity certification "
-     "at both axis points (slow)",
-     ("curves", "deep"), _check_octic_family_assembly_deep),
+    ("octic-family-singularities",
+     "assembled octic family, per candidate constant mapping: the "
+     "structural checks of octic-family-assembly, and the composite "
+     "three-branch type with contacts (2, 2, 3) at both axis points",
+     ("curves",), _check_octic_family_singularities),
     ("quartic-smoothness",
      "both printed quartics certify smooth over their coefficient "
      "fields",
@@ -388,27 +395,8 @@ def run_check(check_id: str) -> Dict:
                      f"known: {check_ids()}")
 
 
-def run_all(tags: Optional[Sequence[str]] = None,
-            skip_tags: Sequence[str] = ("deep",)) -> VerificationManifest:
-    """Run all checks (optionally tag-filtered).
-
-    By default checks tagged "deep" (long-running) are marked skipped;
-    pass skip_tags=() to run everything.
-    """
-    selected = []
-    for cid, statement, ctags, _fn in _CHECKS:
-        if tags and not (set(tags) & set(ctags)):
-            continue
-        selected.append((cid, statement, ctags))
-    skip = set(skip_tags or ())
-
-    def runner(item):
-        cid, statement, ctags = item
-        if skip & set(ctags):
-            return {"id": cid, "statement": statement,
-                    "tags": list(ctags), "status": "skipped",
-                    "details": {"reason":
-                                f"tagged {sorted(skip & set(ctags))}"}}
-        return run_check(cid)
-
-    return VerificationManifest([runner(item) for item in selected])
+def run_all(tags: Optional[Sequence[str]] = None) -> VerificationManifest:
+    """Run all checks, or those carrying at least one of `tags`."""
+    return VerificationManifest([
+        run_check(cid) for cid, _s, ctags, _f in _CHECKS
+        if not tags or set(tags) & set(ctags)])

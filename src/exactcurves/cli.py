@@ -126,16 +126,15 @@ def _cmd_curve(args):
             for k, v in rep["checks"].items():
                 print(f"  {k}: {v}")
             entry = {k: v for k, v in rep["checks"].items()}
-            if args.singularities and rep.get("F") is not None:
-                sing = appendix_b_singularity_check(rep)
-                print(f"  singularity check: {sing['status']}")
-                for tag, e in sing["points"].items():
-                    print(f"    {tag}: {e['verdict']}"
-                          + (f" contacts={e.get('contacts')}"
-                             if e.get("contacts") else ""))
-                entry["singularities"] = sing
-                if sing["status"] != "pass":
-                    exit_code = 1
+            sing = appendix_b_singularity_check(rep)
+            print(f"  singularity check: {sing['status']}")
+            for tag, e in sing["points"].items():
+                print(f"    {tag}: {e['verdict']}"
+                      + (f" contacts={e.get('contacts')}"
+                         if e.get("contacts") else ""))
+            entry["singularities"] = sing
+            if sing["status"] != "pass":
+                exit_code = 1
             if not all(v for k, v in entry.items()
                        if isinstance(v, bool)):
                 exit_code = 1
@@ -277,8 +276,7 @@ def _cmd_check(args):
 
 def _cmd_verify(args):
     from .checks import run_all
-    skip = () if args.deep else ("deep",)
-    manifest = run_all(tags=args.tag or None, skip_tags=skip)
+    manifest = run_all(tags=args.tag or None)
     print(manifest.render())
     if args.report:
         manifest.write_report(args.report)
@@ -338,10 +336,9 @@ def build_parser():
     q.add_argument("--names", help="comma-separated subset of variables")
     q.add_argument("poly")
     add_report(q)
-    q = sc.add_parser("assemble-b", help="assemble the octic family")
+    q = sc.add_parser("assemble-b", help="assemble the octic family and "
+                     "certify its axis singularities")
     q.add_argument("--mapping", help="candidate constant-mapping label")
-    q.add_argument("--singularities", action="store_true",
-                   help="also run the (slow) composite singularity check")
     add_report(q)
     p_curve.set_defaults(func=_cmd_curve)
 
@@ -387,8 +384,6 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run the check manifest")
     p_verify.add_argument("--tag", action="append",
                           help="only checks carrying this tag")
-    p_verify.add_argument("--deep", action="store_true",
-                          help="include long-running checks")
     add_report(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
     return ap

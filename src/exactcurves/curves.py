@@ -325,7 +325,7 @@ def _apply_sigma(p: MultiPoly, sigma) -> MultiPoly:
     return out
 
 
-def appendix_b_singularity_check(report, truncation: int = 8):
+def appendix_b_singularity_check(report):
     """Composite-type certification of F at [1:0:0] and [0:1:0].
 
     Returns {"status": "pass" | "unresolved", ...} — never a silent pass.
@@ -337,7 +337,7 @@ def appendix_b_singularity_check(report, truncation: int = 8):
         entry = {}
         try:
             germ = projective_germ(F, tuple(Fraction(c) for c in pt))
-            cert = certify_composite(germ, truncation)
+            cert = certify_composite(germ)
             entry["verdict"] = cert.verdict
             entry["contacts"] = cert.contacts
             entry["reason"] = cert.reason

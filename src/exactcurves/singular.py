@@ -111,11 +111,10 @@ class SingularityCertificate:
 class BranchExpansion:
     """Truncated smooth-branch series u = sum a_k v^k (integer exponents)."""
 
-    def __init__(self, varnames, coeffs, field, truncation):
+    def __init__(self, varnames, coeffs, field):
         self.vars = tuple(varnames)
         self.coeffs = list(coeffs)  # coeffs[k-1] is the coefficient of v^k
         self.field = field
-        self.truncation = truncation
 
     def tangent_slope(self):
         return self.coeffs[0] if self.coeffs else self.field.zero()
@@ -129,7 +128,7 @@ class BranchExpansion:
         return MultiPoly(self.vars, terms, self.field)
 
     def residual_valuation(self, f: MultiPoly) -> int:
-        """Order in v of f(series, v); > truncation for a true branch."""
+        """Order in v of f(series, v); > len(coeffs) for a true branch."""
         u, v = self.vars
         g = f.substitute({u: self.series_poly()})
         if g.is_zero():
@@ -326,6 +325,10 @@ def puiseux_branches(germ: CurveGerm, truncation: int = 8):
     (`BranchExpansion.residual_valuation` computes it).  Each branch is
     smooth, and the multiplicity of a germ is the sum of those of its
     branches, so it equals the branch count.
+
+    Each level drops the terms that cannot reach a later cone (argued in
+    `_expand_branches`), so every stop test and coefficient is that of the
+    untruncated path above.
     """
     f = germ.f
     if not germ.on_curve():
@@ -335,7 +338,7 @@ def puiseux_branches(germ: CurveGerm, truncation: int = 8):
     shear = None
     if not _cone_coeff(cone, m, 0):
         f, shear = _shear_away_vertical(f, m)
-    branches = [BranchExpansion(f.vars, coeffs, field, truncation)
+    branches = [BranchExpansion(f.vars, coeffs, field)
                 for coeffs, field in _expand_branches(f, truncation)]
     return branches, shear
 
@@ -425,6 +428,15 @@ def _expand_branches(f: MultiPoly, remaining: int):
     if roots is None:
         raise GermError(
             "branch tangent direction outside supported field extensions")
+    # Only terms of degree <= m*(remaining + 1) can reach a cone on the
+    # rest of the path.  Multiplicity never rises along a path, and a term
+    # of degree d only reaches degrees >= d - m one level down, so k levels
+    # down a dropped term lies in degrees > m*(remaining + 1 - k) >= m,
+    # above that level's cone, for every k <= remaining.  Every cone, edge
+    # polynomial, stop test and coefficient is that of the full expansion.
+    bound = m * (remaining + 1)
+    f = MultiPoly(f.vars, {e: c for e, c in f.terms.items()
+                           if sum(e) <= bound}, f.field)
     out = []
     for a, field in roots:
         g = f.to_field(field) if field is not f.field else f
@@ -481,27 +493,21 @@ def certify_composite(germ: CurveGerm,
         return SingularityCertificate(
             "OTHER", multiplicity=m, tangent_cone=cone,
             reason="branches do not share a tangent line", notes=notes)
-    contacts = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            k = _contact_order(branches[i], branches[j], field)
-            if k is None:
-                return SingularityCertificate(
-                    "OTHER", multiplicity=m, tangent_cone=cone,
-                    reason="two branches agree to the full truncation; "
-                           "truncation too small", notes=notes)
-            contacts.append(k)
-    contacts.sort()
-    # contact of the common tangent line u = a1*v with the germ: the sum of
-    # the branch contact orders with the line (reported, not adjudicated)
-    line_contact = 0
-    for b in branches:
-        k = 1 + next((i for i, c in enumerate(b.coeffs[1:], start=1)
-                      if field.coerce(c)), b.truncation)
-        line_contact += k
+    contacts = sorted(_contact_order(branches[i], branches[j], field)
+                      for i in range(3) for j in range(i + 1, 3))
+    # intersection of the common tangent line u = a1*v with the germ,
+    # ord_v f(a1*v, v) in the frame of the branches (reported, not
+    # adjudicated); before the shear v -> v + lam*u the line is
+    # (u, v) = (a1*v, (1 + lam*a1)*v)
+    u, v = germ.f.vars
+    a1, V = slopes[0], MultiPoly.var(germ.f.vars, v, field)
+    on_line = germ.f.to_field(field).substitute(
+        {u: V * a1, v: V * (1 + (shear or 0) * a1)})
     notes.append(
+        "the common tangent line is a component of the germ"
+        if on_line.is_zero() else
         f"intersection of the common tangent line with the germ: "
-        f"{line_contact} (sum of per-branch contact orders with the line)")
+        f"{on_line.min_degree()} (order of f along the line)")
     if contacts != [2, 2, 3]:
         return SingularityCertificate(
             "OTHER", multiplicity=m, tangent_cone=cone,
@@ -516,11 +522,12 @@ def certify_composite(germ: CurveGerm,
 
 
 def _contact_order(b1: BranchExpansion, b2: BranchExpansion, field):
-    n = min(len(b1.coeffs), len(b2.coeffs))
-    for k in range(1, n + 1):
-        if field.coerce(b1.coeffs[k - 1]) != field.coerce(b2.coeffs[k - 1]):
-            return k
-    return None
+    # Two branches leave the expansion tree at a node of depth < truncation
+    # through distinct roots of its edge polynomial, so their coefficient
+    # lists differ at the next index.
+    return next(k for k, (c1, c2) in enumerate(zip(b1.coeffs, b2.coeffs),
+                                               start=1)
+                if field.coerce(c1) != field.coerce(c2))
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def test_octic_family_assembly_all_mappings():
     from exactcurves.curves import (appendix_b_mappings,
                                     appendix_b_singularity_check,
                                     assemble_appendix_b)
-    with budget(150):
+    with budget(20):
         outcomes = {}
         for mapping in appendix_b_mappings():
             rep = assemble_appendix_b(mapping)

@@ -50,11 +50,13 @@ class TestManifest:
         assert m.entries == []
         assert m.exit_code() == 0
 
-    def test_deep_checks_skipped_by_default(self):
-        m = ck.run_all(tags=["deep", "fields"])
-        by_id = {e["id"]: e for e in m.entries}
-        assert by_id["octic-family-assembly-deep"]["status"] == "skipped"
-        assert by_id["real-root-count"]["status"] == "pass"
+    def test_curves_manifest_runs_every_check(self):
+        m = ck.run_all(tags=["curves"])
+        assert [e["id"] for e in m.entries] == [
+            cid for cid, _s, tags, _f in ck._CHECKS if "curves" in tags]
+        assert all(e["status"] == "pass" for e in m.entries)
+        with pytest.raises(SystemExit):
+            main(["verify", "--deep"])
 
     def test_unresolved_never_counts_as_pass(self):
         m = ck.VerificationManifest([

@@ -181,6 +181,10 @@ EXPANDED = [
     ("u^2 - v^2 + v^3", 8),
     ("(u-v^2)*(v-u^2)", 8),  # tangent to v = 0: sheared first
     ("(u-v^2)*(u^2-v^6)", 3),
+    # its v^8 coefficient comes from the term -2*v^7 of 2*w + w^2 - 2*v^7
+    # - w*v^7 at the second level (m = 1, remaining = 7), which a degree
+    # bound of m*remaining - 1 would drop
+    ("(u - v - v^8)*(u + v)", 8),
 ]
 
 
@@ -227,6 +231,20 @@ def test_composite_rejects_a16_cusp_branch():
     f = parse_poly("(u - v^2 - v^3)*(u - v^2 - 2*v^3)*(u^2 - v^17)", UV)
     with pytest.raises(GermError):
         certify_composite(CurveGerm(f))
+
+
+@pytest.mark.parametrize("text, note", [
+    # the branch u = v^10 meets the line u = 0 past the truncation
+    ("(u - v^10)*(u - v^2)*(u - v^2 - v^3)",
+     "intersection of the common tangent line with the germ: 14 "),
+    ("u*(u - v^2)*(u - v^2 - v^3)",
+     "the common tangent line is a component of the germ"),
+])
+def test_composite_tangent_line_note(text, note):
+    cert = certify_composite(CurveGerm(parse_poly(text, UV)))
+    assert cert.verdict == "COMPOSITE_3BRANCH"
+    assert cert.contacts == (2, 2, 3)
+    assert any(n.startswith(note) for n in cert.notes), cert.notes
 
 
 def test_composite_rejects_wrong_contacts():
