@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Sequence
 
 from .curves import (appendix_b_mappings, appendix_b_singularity_check,
                      assemble_appendix_b, c82_singular_system,
-                     certify_curve_spec, corpus_get, kummer_pullback)
+                     certify_curve_spec, conjoin, corpus_get,
+                     kummer_pullback)
 from .elim import make_root, solve_system
 from .fields import sturm_real_roots
 from .groups import (CORPUS, ORB22_TO_Z2Z2, abelianization, count_homs,
@@ -35,6 +36,18 @@ def _expect(details, label, got, expected):
     details[label] = {"got": _plain(got), "expected": _plain(expected),
                       "ok": ok}
     return ok
+
+
+def _expect_report(details, label, rep):
+    """Record whether a certification report holds; returns its "ok":
+    True, False, or None when it left a point undecided."""
+    details[label] = {"got": rep["ok"], "expected": True, "ok": rep["ok"]}
+    return rep["ok"]
+
+
+# status of a check from the three-valued `conjoin` of its results: an
+# undecided report is never promoted to pass
+_STATUS = {True: "pass", None: "unresolved", False: "fail"}
 
 
 def _plain(v):
@@ -139,12 +152,12 @@ def _check_kernel_consistency():
 def _check_octic_certification():
     details = {}
     rep = certify_curve_spec(corpus_get("c82"))
-    ok = _expect(details, "all_points_and_automorphisms", rep["ok"], True)
+    held = _expect_report(details, "all_points_and_automorphisms", rep)
     rec = corpus_get("c82")
     axis = sorted(tuple(str(c) for c in coords)
                   for coords, _t in rec.singular_points
                   if not coords[2])
-    ok &= _expect(details, "axis_points", axis,
+    ok = _expect(details, "axis_points", axis,
                   sorted([("1", "0", "0"), ("0", "1", "0")]))
     ok &= _expect(details, "types",
                   sorted({t for _c, t in rec.singular_points} |
@@ -156,7 +169,7 @@ def _check_octic_certification():
     conj = doc["parametric_point"]["conjugate_count"]
     ok &= _expect(details, "declared_point_count",
                   len(rec.singular_points) + conj, 6)
-    return ("pass" if ok else "fail"), details
+    return _STATUS[conjoin(ok, held)], details
 
 
 def _check_octic_rederivation():
@@ -181,21 +194,21 @@ def _check_octic_rederivation():
 def _check_deltoid_suite():
     details = {}
     sym = certify_curve_spec(corpus_get("deltoid_symmetric"))
-    ok = _expect(details, "symmetric_ok", sym["ok"], True)
-    ok &= _expect(details, "cusp_count", len(sym["points"]), 3)
+    held = [_expect_report(details, "symmetric_ok", sym)]
+    ok = _expect(details, "cusp_count", len(sym["points"]), 3)
     ok &= _expect(details, "all_cusps",
                   [p["verdict"] for p in sym["points"]],
                   ["A2", "A2", "A2"])
     ok &= _expect(details, "tangents_concurrent",
                   sym.get("cusp_tangents_concurrent"), True)
     aff = certify_curve_spec(corpus_get("deltoid_affine"))
-    ok &= _expect(details, "affine_ok", aff["ok"], True)
+    held.append(_expect_report(details, "affine_ok", aff))
     # the affine model is stored in (v, u) coordinate order, so the cusp
     # at (u, v) = (1, -3) appears as ("-3", "1")
     pts = sorted(tuple(p["coords"]) for p in aff["points"])
     ok &= _expect(details, "affine_cusp_locations", pts,
                   sorted([("0", "0"), ("-3", "1")]))
-    return ("pass" if ok else "fail"), details
+    return _STATUS[conjoin(ok, *held)], details
 
 
 def _check_power_map_mechanism():
@@ -245,12 +258,12 @@ def _check_octic_family_singularities():
 
 def _check_quartic_smoothness():
     details = {}
-    ok = True
+    ok, held = True, []
     for name in ("c82_quartic", "c83_quartic"):
         rep = certify_curve_spec(corpus_get(name))
         ok &= _expect(details, f"{name}_smooth", rep.get("smooth"), True)
-        ok &= _expect(details, f"{name}_ok", rep["ok"], True)
-    return ("pass" if ok else "fail"), details
+        held.append(_expect_report(details, f"{name}_ok", rep))
+    return _STATUS[conjoin(ok, *held)], details
 
 
 def _check_real_root_count():

@@ -92,9 +92,9 @@ def _cmd_curve(args):
     if args.curve_cmd == "certify":
         rep = certify_curve_spec(corpus_get(args.name))
         for p in rep["points"]:
+            mark = {True: "ok", None: "unresolved"}.get(p["ok"], "MISMATCH")
             print(f"point {p['coords']}: expected {p['expected']}, "
-                  f"got {p['verdict']}  "
-                  f"[{'ok' if p['ok'] else 'MISMATCH'}]")
+                  f"got {p['verdict']}  [{mark}]")
         for a in rep["automorphisms"]:
             print(f"automorphism {a['name']}: invariant={a['invariant']}  "
                   f"[{'ok' if a['ok'] else 'MISMATCH'}]")
@@ -103,9 +103,10 @@ def _cmd_curve(args):
         if "cusp_tangents_concurrent" in rep:
             print("cusp tangents concurrent:",
                   rep["cusp_tangents_concurrent"])
-        print("overall:", "ok" if rep["ok"] else "FAILED")
+        print("overall:",
+              {True: "ok", None: "unresolved"}.get(rep["ok"], "FAILED"))
         _write_report(args, rep)
-        return 0 if rep["ok"] else 1
+        return 1 if rep["ok"] is False else 0
     if args.curve_cmd == "pullback":
         varnames = tuple(v.strip() for v in args.vars.split(","))
         f = parse_poly(args.poly, varnames)

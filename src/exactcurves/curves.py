@@ -15,12 +15,11 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from . import fields as fl
-from .fields import QQ, FieldAutomorphism, FieldElement, NumberField, \
-    field_from_doc
+from .fields import QQ, FieldAutomorphism, NumberField, field_from_doc
 from .multipoly import MultiPoly, PolyError, dehomogenize, parse_poly
-from .singular import (CurveGerm, GermError, certify_composite,
-                       certify_smooth_projective, certify_type,
-                       lines_concurrent, tangent_lines_and_concurrency)
+from .singular import (CurveGerm, GermError, UnresolvedGerm,
+                       certify_composite, certify_smooth_projective,
+                       certify_type, tangent_lines_and_concurrency)
 
 
 class CurveError(ValueError):
@@ -120,10 +119,7 @@ def projective_germ(f: MultiPoly, point) -> CurveGerm:
     the chart of the point's first nonzero coordinate."""
     if len(f.vars) != 3:
         raise CurveError("expected a polynomial in 3 variables")
-    field = f.field
-    for c in point:
-        if isinstance(c, FieldElement):
-            field = fl.common_field(field, c.field)
+    field = fl.common_field(f, *point)
     pt = [field.coerce(c) for c in point]
     i = next((k for k in (0, 1, 2) if pt[k]), None)
     if i is None:
@@ -161,11 +157,7 @@ def kummer_pullback(f: MultiPoly, n: int, names=None) -> MultiPoly:
 def invariance_check(f: MultiPoly, matrix):
     """Whether f composed with the linear map equals lambda*f; returns
     (bool, lambda or None)."""
-    field = f.field
-    for row in matrix:
-        for c in row:
-            if isinstance(c, FieldElement):
-                field = fl.common_field(field, c.field)
+    field = fl.common_field(f, *(c for row in matrix for c in row))
     f = f.to_field(field)
     names = f.vars
     subs = {}
@@ -357,7 +349,12 @@ def appendix_b_singularity_check(report):
 # ---------------------------------------------------------------------------
 
 def certify_curve_spec(record: CurveRecord):
-    """Run the declared certificates for a corpus curve; aggregate report."""
+    """Run the declared certificates for a corpus curve; aggregate report.
+
+    Each entry's "ok" is True, False, or None for a point left undecided
+    (verdict UNRESOLVED).  The report's "ok" is False when any entry
+    failed, else None when any point is undecided, else True.
+    """
     report = {"name": record.name, "points": [], "automorphisms": [],
               "ok": True}
 
@@ -379,17 +376,21 @@ def certify_curve_spec(record: CurveRecord):
             entry["ok"] = (cert.verdict == expected)
             if cert.reason:
                 entry["reason"] = cert.reason
+        except UnresolvedGerm as exc:
+            entry["verdict"] = "UNRESOLVED"
+            entry["reason"] = str(exc)
+            entry["ok"] = None
         except GermError as exc:
             entry["verdict"] = "ERROR"
             entry["reason"] = str(exc)
             entry["ok"] = False
         report["points"].append(entry)
-        report["ok"] = report["ok"] and entry["ok"]
+        report["ok"] = conjoin(report["ok"], entry["ok"])
 
     # pairwise distinctness of projective points over a common field
     if not record.affine:
         report["points_distinct"] = _points_distinct(all_points)
-        report["ok"] = report["ok"] and report["points_distinct"]
+        report["ok"] = conjoin(report["ok"], report["points_distinct"])
 
     for name, M, expected in record.automorphisms:
         ok, lam = invariance_check(record.poly, M)
@@ -397,40 +398,39 @@ def certify_curve_spec(record: CurveRecord):
                  "lambda": str(lam) if lam is not None else None,
                  "ok": ok == expected}
         report["automorphisms"].append(entry)
-        report["ok"] = report["ok"] and entry["ok"]
+        report["ok"] = conjoin(report["ok"], entry["ok"])
 
     if record.smooth:
         ok, witness = certify_smooth_projective(record.poly)
         report["smooth"] = ok
-        report["ok"] = report["ok"] and ok
+        report["ok"] = conjoin(report["ok"], ok)
 
     if record.name == "deltoid_symmetric":
         pts = [coords for coords, _t in record.singular_points]
         _lines, concurrent = tangent_lines_and_concurrency(record.poly, pts)
         report["cusp_tangents_concurrent"] = concurrent
-        report["ok"] = report["ok"] and concurrent
+        report["ok"] = conjoin(report["ok"], concurrent)
     return report
+
+
+def conjoin(*oks):
+    """Three-valued "and" of True, False and None (undecided): False beats
+    None, which beats True."""
+    return False if False in oks else None if None in oks else True
 
 
 def _points_distinct(points) -> bool:
     normed = []
     for coords, _t in points:
-        field = QQ
-        for c in coords:
-            if isinstance(c, FieldElement):
-                field = fl.common_field(field, c.field)
+        field = fl.common_field(*coords)
         v = [field.coerce(c) for c in coords]
         i = max(k for k in range(len(v)) if v[k])
         s = 1 / v[i]
         normed.append(tuple(c * s for c in v))
     for i in range(len(normed)):
         for j in range(i + 1, len(normed)):
-            a, b = normed[i], normed[j]
-            try:
-                if all(x == y for x, y in zip(a, b)):
-                    return False
-            except fl.FieldError:
-                continue
+            if all(x == y for x, y in zip(normed[i], normed[j])):
+                return False
     return True
 
 

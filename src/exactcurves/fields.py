@@ -145,9 +145,9 @@ class RationalField:
             return Fraction(x)
         if isinstance(x, FieldElement):
             # constant elements drop down
-            r = x.as_base_constant_recursive()
-            if r is not None:
-                return self.coerce(r)
+            c = x.as_base_constant()
+            if c is not None:
+                return self.coerce(c)
         raise FieldError(f"cannot coerce {x!r} into Q")
 
     def depth(self):
@@ -155,9 +155,6 @@ class RationalField:
 
     def total_degree(self):
         return 1
-
-    def contains_tower(self, other):
-        return other is self or isinstance(other, RationalField)
 
     def __repr__(self):
         return "QQ"
@@ -167,7 +164,8 @@ QQ = RationalField()
 
 
 class NumberField:
-    """Q[a]/(p(a)) over a base field (Q or a depth-1 NumberField)."""
+    """Q[a]/(p(a)) over a base field: Q or a tower of at most two
+    extensions, so that towers reach at most three extensions over Q."""
 
     def __init__(self, varname: str, minpoly: Sequence, base=QQ):
         base_depth = base.depth()
@@ -231,13 +229,6 @@ class NumberField:
         coords = [self.base.coerce(x)] + [self.base.zero()] * (self.degree - 1)
         return FieldElement(self, coords)
 
-    def contains_tower(self, other):
-        if other is self:
-            return True
-        if isinstance(other, RationalField):
-            return True
-        return self.base.contains_tower(other) if self.base is not None else False
-
     def __repr__(self):
         return f"NumberField({self.name}, deg {self.degree} over {self.base!r})"
 
@@ -253,41 +244,30 @@ class FieldElement:
 
     # -- helpers -----------------------------------------------------------
     def _pair(self, other):
+        """(self, other) in one field, the deeper of the two; None when
+        `other` is no field value."""
         if isinstance(other, FieldElement):
             if other.field is self.field:
-                return other
-            if self.field.contains_tower(other.field):
-                return self.field.coerce(other)
-            if other.field.contains_tower(self.field):
-                raise _Promote(other.field)
-            raise FieldError("field mismatch")
+                return self, other
+            field = common_field(self.field, other.field)
+            return field.coerce(self), field.coerce(other)
         if isinstance(other, (int, Fraction)):
-            return self.field.coerce(other)
-        return NotImplemented
+            return self, self.field.coerce(other)
+        return None
 
     def as_base_constant(self):
         if all(not c for c in self.coords[1:]):
             return self.coords[0]
         return None
 
-    def as_base_constant_recursive(self):
-        c = self.as_base_constant()
-        if c is None:
-            return None
-        if isinstance(c, FieldElement):
-            return c.as_base_constant_recursive()
-        return c
-
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
-        try:
-            o = self._pair(other)
-        except _Promote as p:
-            return p.field.coerce(self) + other
-        if o is NotImplemented:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return FieldElement(self.field,
-                            [a + b for a, b in zip(self.coords, o.coords)])
+        x, y = pair
+        return FieldElement(x.field,
+                            [a + b for a, b in zip(x.coords, y.coords)])
 
     __radd__ = __add__
 
@@ -295,33 +275,29 @@ class FieldElement:
         return FieldElement(self.field, [-a for a in self.coords])
 
     def __sub__(self, other):
-        try:
-            o = self._pair(other)
-        except _Promote as p:
-            return p.field.coerce(self) - other
-        if o is NotImplemented:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return FieldElement(self.field,
-                            [a - b for a, b in zip(self.coords, o.coords)])
+        x, y = pair
+        return FieldElement(x.field,
+                            [a - b for a, b in zip(x.coords, y.coords)])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        try:
-            o = self._pair(other)
-        except _Promote as p:
-            return p.field.coerce(self) * other
-        if o is NotImplemented:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        f = self.field
+        x, y = pair
+        f = x.field
         d = f.degree
         zero = f.base.zero()
         prod = [zero] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
+        for i, a in enumerate(x.coords):
             if not a:
                 continue
-            for j, b in enumerate(o.coords):
+            for j, b in enumerate(y.coords):
                 if b:
                     prod[i + j] = prod[i + j] + a * b
         out = list(prod[:d])
@@ -356,13 +332,11 @@ class FieldElement:
         return FieldElement(f, coords)
 
     def __truediv__(self, other):
-        try:
-            o = self._pair(other)
-        except _Promote as p:
-            return p.field.coerce(self) / other
-        if o is NotImplemented:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return self * o.inverse()
+        x, y = pair
+        return x * y.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -384,17 +358,14 @@ class FieldElement:
         return any(bool(c) for c in self.coords)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.coerce(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
         try:
-            o = self._pair(other)
-        except _Promote as p:
-            return p.field.coerce(self) == other
+            pair = self._pair(other)
         except FieldError:
-            return False
-        return self.coords == o.coords
+            return False  # elements of unrelated towers
+        if pair is None:
+            return NotImplemented
+        x, y = pair
+        return x.coords == y.coords
 
     def __hash__(self):
         return hash((id(self.field), self.coords))
@@ -414,18 +385,31 @@ class FieldElement:
         return " + ".join(terms) if terms else "0"
 
 
-class _Promote(Exception):
-    def __init__(self, field):
-        self.field = field
+def tower(field):
+    """The extension levels of `field`, the one over Q first (none for Q)."""
+    levels = []
+    while isinstance(field, NumberField):
+        levels.append(field)
+        field = field.base
+    return levels[::-1]
 
 
-def common_field(f1, f2):
-    """The larger of two tower-compatible fields."""
-    if f1.contains_tower(f2):
-        return f1
-    if f2.contains_tower(f1):
-        return f2
-    raise FieldError(f"incompatible fields {f1!r} and {f2!r}")
+def common_field(*items):
+    """The one field all `items` meet in: the deepest among them.
+
+    Items are fields, values carrying a `.field` (field elements,
+    polynomials), ints and Fractions; the last two lie in Q.  Raises
+    FieldError when an item lies outside the tower of that field.
+    """
+    fields = [x if isinstance(x, (RationalField, NumberField))
+              else QQ if isinstance(x, (int, Fraction)) else x.field
+              for x in items]
+    top = max(fields, key=lambda f: f.depth(), default=QQ)
+    levels = tower(top)
+    for f in fields:
+        if isinstance(f, NumberField) and f not in levels:
+            raise FieldError(f"incompatible fields {f!r} and {top!r}")
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +417,8 @@ def common_field(f1, f2):
 # ---------------------------------------------------------------------------
 
 def field_create(minpoly: Sequence, base=QQ, varname: str = "a") -> NumberField:
-    """Create Q[varname]/(minpoly) over `base` (Q or a depth-1 field)."""
+    """Create Q[varname]/(minpoly) over `base` (Q or a tower of at most two
+    extensions)."""
     return NumberField(varname, minpoly, base)
 
 
@@ -446,12 +431,7 @@ class FieldAutomorphism:
     """
 
     def __init__(self, field: NumberField, gen_images: Sequence[FieldElement]):
-        levels = []
-        f = field
-        while isinstance(f, NumberField):
-            levels.append(f)
-            f = f.base
-        levels.reverse()
+        levels = tower(field)
         if len(gen_images) != len(levels):
             raise FieldError("need one generator image per tower level")
         self.field = field
@@ -476,17 +456,12 @@ class FieldAutomorphism:
         img = self.gen_images[level]
         acc = self.field.zero()
         for c in reversed(x.coords):
-            if isinstance(c, FieldElement):
-                cv = self._apply_level(c, level - 1)
-            else:
-                cv = self.field.coerce(c)
-            acc = acc * img + cv
+            acc = acc * img + self._apply_level(c, level - 1)
         return acc
 
     def order(self, cap: int = 24) -> int:
         """Multiplicative order of the automorphism on generators."""
-        gens = [self.field.coerce(lvl.gen()) if lvl is not self.field
-                else self.field.gen() for lvl in self.levels]
+        gens = [self.field.coerce(lvl.gen()) for lvl in self.levels]
         cur = list(gens)
         for n in range(1, cap + 1):
             cur = [self.apply(g) for g in cur]

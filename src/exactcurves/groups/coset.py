@@ -9,6 +9,7 @@ representation, which makes element order and element equality decidable.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
 from .presentation import Presentation
@@ -36,12 +37,12 @@ class CosetTable:
         for g, perm in self.action.items():
             if sorted(perm) != list(range(n)):
                 raise CosetError(f"action of {g} is not a permutation")
+        self._inverse = {g: _inverse_perm(p) for g, p in self.action.items()}
 
     def apply(self, coset: int, w: GroupWord) -> int:
-        inv = {g: _inverse_perm(p) for g, p in self.action.items()}
         c = coset
         for name, e in w.letters:
-            perm = self.action[name] if e == 1 else inv[name]
+            perm = self.action[name] if e == 1 else self._inverse[name]
             c = perm[c]
         return c
 
@@ -67,7 +68,7 @@ class CosetTable:
                 length += 1
                 if c == start:
                     break
-            order = _lcm(order, length)
+            order = math.lcm(order, length)
         return order
 
     def elements_equal(self, u, v) -> bool:
@@ -82,11 +83,6 @@ def _inverse_perm(p):
     for i, j in enumerate(p):
         out[j] = i
     return tuple(out)
-
-
-def _lcm(a, b):
-    import math
-    return a * b // math.gcd(a, b)
 
 
 DEFAULT_COSET_CAP = 1_000_000

@@ -10,7 +10,7 @@ into Schreier generators and then Tietze-simplified.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .abelian import AbelianInvariants, abelianization_with_images
 from .presentation import Presentation, PresentationError
@@ -27,8 +27,7 @@ class RewriteError(ValueError):
 
 def rs_kernel(p: Presentation, moduli: Sequence[int],
               images: Mapping[str, Sequence[int]],
-              simplify: bool = True,
-              tietze_limits: Optional[Mapping] = None) -> Presentation:
+              simplify: bool = True) -> Presentation:
     """Presentation of the kernel of the map onto prod Z/moduli[i].
 
     `images` sends each generator to a tuple of residues.  The map must be
@@ -131,7 +130,7 @@ def rs_kernel(p: Presentation, moduli: Sequence[int],
         notes=f"rs_kernel of ({p.notes or 'presentation'}) onto "
               f"{'x'.join(f'Z/{m}' for m in moduli)}")
     if simplify:
-        kernel = tietze_simplify(kernel, tietze_limits)
+        kernel = tietze_simplify(kernel)
     return kernel
 
 
@@ -139,8 +138,12 @@ def rs_kernel(p: Presentation, moduli: Sequence[int],
 # Tietze simplification
 # ---------------------------------------------------------------------------
 
-DEFAULT_TIETZE = {"max_growth": 200_000, "max_total_length": 4_000_000,
-                  "max_eliminations": 100_000}
+# Safety stops of the Tietze moves: the largest growth in total relator
+# length one elimination may cause, the total length past which the moves
+# stop, and the most eliminations.
+TIETZE_MAX_GROWTH = 200_000
+TIETZE_MAX_TOTAL_LENGTH = 4_000_000
+TIETZE_MAX_ELIMINATIONS = 100_000
 
 
 def _free_cyclic_reduce(ls):
@@ -171,8 +174,7 @@ def _canonical_key(ls):
     return best
 
 
-def tietze_simplify(p: Presentation,
-                    limits: Optional[Mapping] = None) -> Presentation:
+def tietze_simplify(p: Presentation) -> Presentation:
     """Shorter presentation of an isomorphic group.
 
     Moves: free/cyclic relator reduction, duplicate removal, removal of
@@ -185,7 +187,6 @@ def tietze_simplify(p: Presentation,
     """
     import heapq
 
-    limits = {**DEFAULT_TIETZE, **(limits or {})}
     gens = set(p.generators)
     gen_order = list(p.generators)
     rels = {}            # idx -> letter list (alive relators)
@@ -240,7 +241,7 @@ def tietze_simplify(p: Presentation,
         push_candidates(idx)
 
     eliminations = 0
-    while heap and eliminations < limits["max_eliminations"]:
+    while heap and eliminations < TIETZE_MAX_ELIMINATIONS:
         cost, rl, g, idx, v = heapq.heappop(heap)
         ls = rels.get(idx)
         if ls is None or g not in gens or version.get(idx, 0) != v:
@@ -249,7 +250,7 @@ def tietze_simplify(p: Presentation,
         if true_cost != cost:
             heapq.heappush(heap, (true_cost, len(ls), g, idx, v))
             continue
-        if true_cost > limits["max_growth"]:
+        if true_cost > TIETZE_MAX_GROWTH:
             continue
         # rotate so the relator starts with g^e; then g = (rest)^-e
         pos = next(i for i, (n, _e) in enumerate(ls) if n == g)
@@ -281,8 +282,7 @@ def tietze_simplify(p: Presentation,
         del occ[g]
         log.append(f"eliminated {g} (relator length {rl}, cost {cost})")
         eliminations += 1
-        if sum(len(ls2) for ls2 in rels.values()) > \
-                limits["max_total_length"]:
+        if sum(len(ls2) for ls2 in rels.values()) > TIETZE_MAX_TOTAL_LENGTH:
             log.append("stopped: total length limit")
             break
 
@@ -307,12 +307,13 @@ def tietze_simplify(p: Presentation,
 # derived series
 # ---------------------------------------------------------------------------
 
-DEFAULT_DERIVED_LIMITS = {"max_index": 512, "max_generators": 4000,
-                          "tietze": None}
+# Safety stops of the derived series: the largest quotient order a level
+# may have before its kernel is taken, and the most kernel generators.
+DERIVED_MAX_INDEX = 512
+DERIVED_MAX_GENERATORS = 4000
 
 
-def derived_series_quotients(p: Presentation, depth: int,
-                             limits: Optional[Mapping] = None):
+def derived_series_quotients(p: Presentation, depth: int):
     """Successive abelianizations G/G', G'/G'', ... down to `depth` levels.
 
     Returns {"quotients": [AbelianInvariants...], "status": str,
@@ -322,7 +323,6 @@ def derived_series_quotients(p: Presentation, depth: int,
     """
     if depth < 1:
         raise RewriteError("depth must be >= 1")
-    limits = {**DEFAULT_DERIVED_LIMITS, **(limits or {})}
     quotients = []
     presentations = [p]
     status = "complete"
@@ -343,7 +343,7 @@ def derived_series_quotients(p: Presentation, depth: int,
         if inv.order() == 1:
             status = f"stopped: perfect group at level {level + 1}"
             break
-        if inv.order() > limits["max_index"]:
+        if inv.order() > DERIVED_MAX_INDEX:
             status = f"stopped: index {inv.order()} exceeds limit"
             break
         torsion_images = {g: v[:len(inv.torsion)]
@@ -353,9 +353,8 @@ def derived_series_quotients(p: Presentation, depth: int,
         # directly; Tietze there costs far more than it saves
         simplify = level < depth - 2
         current = rs_kernel(current, inv.torsion, torsion_images,
-                            simplify=simplify,
-                            tietze_limits=limits["tietze"])
-        if len(current.generators) > limits["max_generators"]:
+                            simplify=simplify)
+        if len(current.generators) > DERIVED_MAX_GENERATORS:
             status = "stopped: generator limit exceeded"
             break
         presentations.append(current)

@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .fields import (QQ, FieldElement, FieldError, NumberField, common_field,
-                     element_from_doc, element_to_doc, up_deg, up_trim)
+from .fields import (QQ, FieldElement, FieldError, common_field,
+                     element_from_doc, element_to_doc, tower, up_deg, up_trim)
 
 
 class PolyError(ValueError):
@@ -70,13 +70,10 @@ class MultiPoly:
                     f"variable mismatch: {self.vars} vs {other.vars}")
             if other.field is self.field:
                 return self, other
-            field = common_field(self.field, other.field)
+            field = common_field(self, other)
             return self.to_field(field), other.to_field(field)
         if isinstance(other, (int, Fraction, FieldElement)):
-            if isinstance(other, FieldElement):
-                field = common_field(self.field, other.field)
-            else:
-                field = self.field
+            field = common_field(self, other)
             return self.to_field(field), MultiPoly.const(
                 self.vars, field.coerce(other), field)
         return None
@@ -156,19 +153,13 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            pair = self._compat(other)
-            if pair is None:
-                return NotImplemented
-            a, b = pair
-            return a.terms == b.terms
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
         try:
-            a, b = self._compat(other)
+            pair = self._compat(other)
         except (PolyError, FieldError):
             return False
-        return a.terms == b.terms
+        if pair is None:
+            return NotImplemented
+        return pair[0].terms == pair[1].terms
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
@@ -251,20 +242,12 @@ class MultiPoly:
         elements / rationals.  Unassigned variables must appear in the target
         variable list.
         """
-        target_vars = None
-        field = self.field
-        for v in assignments.values():
-            if isinstance(v, MultiPoly):
-                if target_vars is None:
-                    target_vars = v.vars
-                elif v.vars != target_vars:
-                    raise PolyError("assignment polynomials must share "
-                                    "one variable list")
-                field = common_field(field, v.field)
-            elif isinstance(v, FieldElement):
-                field = common_field(field, v.field)
-        if target_vars is None:
-            target_vars = self.vars
+        polys = [v for v in assignments.values() if isinstance(v, MultiPoly)]
+        target_vars = polys[0].vars if polys else self.vars
+        if any(p.vars != target_vars for p in polys):
+            raise PolyError("assignment polynomials must share "
+                            "one variable list")
+        field = common_field(self, *assignments.values())
         images = []
         for name in self.vars:
             if name in assignments:
@@ -716,11 +699,8 @@ class _Parser:
         self.pos = 0
         self.vars = tuple(varnames)
         self.field = field
-        self.gens = {}
-        f = field
-        while isinstance(f, NumberField):
-            self.gens[f.name] = None
-            f = f.base
+        # on a repeated name the outermost level wins
+        self.gens = {f.name: field.coerce(f.gen()) for f in tower(field)}
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -802,19 +782,8 @@ class _Parser:
         if t in self.vars:
             return MultiPoly.var(self.vars, t, self.field)
         if t in self.gens:
-            return MultiPoly.const(self.vars, _gen_element(self.field, t),
-                                   self.field)
+            return MultiPoly.const(self.vars, self.gens[t], self.field)
         raise PolyError(f"unknown symbol {t!r}")
-
-
-def _gen_element(field, name):
-    f = field
-    while isinstance(f, NumberField):
-        if f.name == name:
-            g = f.gen()
-            return field.coerce(g) if f is not field else g
-        f = f.base
-    raise PolyError(f"no tower generator named {name}")
 
 
 def poly_to_sparse(p: MultiPoly):

@@ -17,12 +17,17 @@ from typing import Sequence
 
 from . import fields as fl
 from .factoring import irreducible_factors
-from .fields import FieldElement, NumberField
+from .fields import NumberField
 from .multipoly import MultiPoly, PolyError, dehomogenize, resultant
 
 
 class GermError(ValueError):
     pass
+
+
+class UnresolvedGerm(GermError):
+    """The germ was not decided within the bounds of the expansion: its
+    certificate is unresolved, not refuted."""
 
 
 # Local invariants of the model u^3 = v^4, fixed by its Newton segment
@@ -46,10 +51,7 @@ class CurveGerm:
             raise GermError("germ polynomial is identically zero")
         u, v = f.vars
         a, b = point
-        field = f.field
-        for c in (a, b):
-            if isinstance(c, FieldElement):
-                field = fl.common_field(field, c.field)
+        field = fl.common_field(f, a, b)
         f = f.to_field(field)
         if a or b:
             shifted = f.substitute({
@@ -147,8 +149,7 @@ def multiplicity_and_cone(germ: CurveGerm):
     """Multiplicity m, degree-m cone, and its perfect-power analysis.
 
     Returns (m, cone, is_perfect_power, linear_form).  The perfect-power
-    test is exact: discriminant for m=2, Hessian for m=3, verified
-    reconstruction for other m.
+    test is exact: a reconstruction of L, verified by expansion.
     """
     f = germ.f
     if (0, 0) in f.terms:
@@ -165,25 +166,10 @@ def _cone_coeff(cone, i, j):
 
 def _perfect_power_linear(cone: MultiPoly, m: int):
     """Whether a binary degree-m form equals c*L^m; returns (bool, L)."""
-    field = cone.field
-    u, v = cone.vars
     if m == 0:
         return False, None
     if m == 1:
         return True, cone
-    if m == 2:
-        a = _cone_coeff(cone, 2, 0)
-        b = _cone_coeff(cone, 1, 1)
-        c = _cone_coeff(cone, 0, 2)
-        if b * b - 4 * a * c != 0:
-            return False, None
-    elif m == 3:
-        # binary cubic is a perfect cube iff its Hessian vanishes identically
-        huu = cone.derivative(u).derivative(u)
-        hvv = cone.derivative(v).derivative(v)
-        huv = cone.derivative(u).derivative(v)
-        if not (huu * hvv - huv * huv).is_zero():
-            return False, None
     L = _extract_power_root(cone, m)
     return (L is not None), L
 
@@ -423,7 +409,7 @@ def _expand_branches(f: MultiPoly, remaining: int):
     if remaining <= 0:
         if m == 1:
             return [([], f.field)]
-        raise GermError("truncation too small to separate branches")
+        raise UnresolvedGerm("truncation too small to separate branches")
     roots = _edge_roots(edge, f.field)
     if roots is None:
         raise GermError(
@@ -439,11 +425,10 @@ def _expand_branches(f: MultiPoly, remaining: int):
                            if sum(e) <= bound}, f.field)
     out = []
     for a, field in roots:
-        g = f.to_field(field) if field is not f.field else f
         U = MultiPoly.var(f.vars, u, field)
         V = MultiPoly.var(f.vars, v, field)
         # u = v*(a + w); recurse on f(v*(a+w), v) / v^m in (w, v)
-        sub = g.substitute({u: V * (U + MultiPoly.const(f.vars, a, field))})
+        sub = f.substitute({u: V * (U + MultiPoly.const(f.vars, a, field))})
         sub = _divide_out_v(sub, m)
         if sub.is_zero() or (0, 0) in sub.terms:
             raise GermError("internal: sub-germ does not vanish at origin")
@@ -485,9 +470,7 @@ def certify_composite(germ: CurveGerm,
         return SingularityCertificate(
             "OTHER", multiplicity=m, tangent_cone=cone,
             reason=f"branch count {len(branches)}, expected 3", notes=notes)
-    field = branches[0].field
-    for b in branches[1:]:
-        field = fl.common_field(field, b.field)
+    field = fl.common_field(*branches)
     slopes = [field.coerce(b.tangent_slope()) for b in branches]
     if not (slopes[0] == slopes[1] == slopes[2]):
         return SingularityCertificate(
@@ -599,7 +582,12 @@ def weighted_bezout(d1: int, d2: int, weights: Sequence[int]) -> Fraction:
 # projective smoothness certificates
 # ---------------------------------------------------------------------------
 
-def certify_smooth_projective(f: MultiPoly, max_attempts: int = 4):
+# Safety stop: charts tried (the given one, then random linear changes)
+# before smoothness certification gives up.
+SMOOTH_MAX_ATTEMPTS = 4
+
+
+def certify_smooth_projective(f: MultiPoly):
     """Whether a homogeneous plane curve is smooth, with an audit witness.
 
     True iff the three partial derivatives have no common projective zero
@@ -615,7 +603,7 @@ def certify_smooth_projective(f: MultiPoly, max_attempts: int = 4):
     rng = random.Random(20240817)
     witness = {"steps": [], "changes": []}
     g = f
-    for attempt in range(max_attempts):
+    for attempt in range(SMOOTH_MAX_ATTEMPTS):
         verdict = _smooth_attempt(g, witness)
         if verdict is not None:
             witness["euler_note"] = (
@@ -729,16 +717,15 @@ def _check_candidates(charts, elim, keep, g, field, witness, label):
         return None
     for part in parts:
         if len(part) == 2:
-            ext, r = field, -part[0]
+            r = -part[0]
         elif _adjoinable(part, field):
-            ext = NumberField(_fresh_ext_name(field), part, field)
-            r = ext.gen()
+            r = NumberField(_fresh_ext_name(field), part, field).gen()
         else:
             witness["steps"].append(
                 f"{label}: residual candidate factor beyond supported "
                 "extensions; inconclusive")
             return None
-        if _common_zero_at(charts, elim, keep, r, ext):
+        if _common_zero_at(charts, elim, keep, r):
             witness["steps"].append(
                 f"{label}: common zero of the partials at {keep}={r!r}")
             return False
@@ -748,27 +735,16 @@ def _check_candidates(charts, elim, keep, g, field, witness, label):
     return True
 
 
-def _common_zero_at(charts, elim, keep, r, field):
+def _common_zero_at(charts, elim, keep, r):
     """Exact check: do the three chart polynomials share a zero with the
-    `keep` coordinate equal to r?"""
-    specialized = []
-    for p in charts:
-        q = p.to_field(field).substitute(
-            {keep: MultiPoly.const(p.vars, field.coerce(r), field)})
-        specialized.append(q)
-    # now univariate in elim
-    univs = []
-    for q in specialized:
-        univs.append(fl.up_trim(q.univariate_coeffs(elim)))
-    if any(not u for u in univs):
-        nonzero = [u for u in univs if u]
-        if not nonzero:
-            return True
-        g = nonzero[0]
-        for h in nonzero[1:]:
-            g = fl.up_gcd(g, h)
-        return fl.up_deg(g) > 0
-    g = univs[0]
-    for h in univs[1:]:
+    `keep` coordinate equal to r?  A chart that vanishes at keep = r
+    constrains nothing."""
+    univs = [fl.up_trim(p.substitute({keep: r})
+                        .univariate_coeffs(elim)) for p in charts]
+    nonzero = [u for u in univs if u]
+    if not nonzero:
+        return True
+    g = nonzero[0]
+    for h in nonzero[1:]:
         g = fl.up_gcd(g, h)
     return fl.up_deg(g) > 0

@@ -7,10 +7,10 @@ about 4000 relators goes through bucketed unit-pivot elimination, a
 Hermite normal form of the remnant and one Smith normal form in seconds.
 """
 
-import os
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 
 @contextmanager
@@ -245,7 +245,7 @@ def test_base_field_polynomial_has_two_real_roots():
 
 def test_property_suites_present_with_100_cases():
     import re
-    here = os.path.dirname(__file__)
+    here = Path(__file__).parent
     required = {
         "test_fields.py": [("test_field_axioms_random", 100)],
         "test_multipoly.py": [
@@ -260,7 +260,7 @@ def test_property_suites_present_with_100_cases():
         "test_factoring.py": [("test_factor_matches_sympy", 100)],
     }
     for fname, suites in required.items():
-        text = open(os.path.join(here, fname)).read()
+        text = (here / fname).read_text()
         for func, count in suites:
             pat = (r'@pytest\.mark\.parametrize\("seed", range\((\d+)\)\)'
                    r'\s*\ndef ' + re.escape(func))
@@ -268,7 +268,7 @@ def test_property_suites_present_with_100_cases():
             assert m, f"{func} suite missing from {fname}"
             assert int(m.group(1)) >= count, \
                 f"{func} has {m.group(1)} cases, needs >= {count}"
-    text = open(os.path.join(here, "test_groups.py")).read()
+    text = (here / "test_groups.py").read_text()
     for func in ("test_automorphism_round_trip_100",
                  "test_product_preservation_100",
                  "test_total_product_fixed_100",

@@ -67,6 +67,15 @@ class TestManifest:
         assert all(e["status"] != "pass" or e["id"] == "b"
                    for e in m.entries)  # ...but it is never shown as pass
 
+    @pytest.mark.parametrize("held, status", [(None, "unresolved"),
+                                              (False, "fail")])
+    def test_undecided_report_makes_check_unresolved(self, monkeypatch,
+                                                     held, status):
+        certify = ck.certify_curve_spec
+        monkeypatch.setattr(ck, "certify_curve_spec",
+                            lambda rec: dict(certify(rec), ok=held))
+        assert ck.run_check("quartic-smoothness")["status"] == status
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ck.CheckError):
             ck.VerificationManifest([{"id": "a", "status": "pass"},

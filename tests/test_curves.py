@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactcurves.curves import (CurveError, appendix_b_mappings,
+from exactcurves.curves import (CurveError, CurveRecord, appendix_b_mappings,
                                 assemble_appendix_b, c82_singular_system,
                                 certify_curve_spec, corpus_get,
                                 invariance_check, kummer_pullback,
@@ -84,6 +84,25 @@ def test_c83_quartic_smooth_over_tower():
     rep = certify_curve_spec(rec)
     assert rep["ok"]
     assert rep["smooth"]
+
+
+def test_unseparated_composite_point_is_unresolved():
+    # the branches v^2 and v^2 + v^9 agree past the default truncation 8:
+    # undecided, not refuted
+    uv = ("u", "v")
+    f = _q("(u - v^2)*(u - v^2 - v^9)*(u + v^2)", uv)
+    origin = (Fraction(0), Fraction(0))
+    rec = CurveRecord("unseparated", f, QQ,
+                      [(origin, "COMPOSITE_3BRANCH")], [], affine=True)
+    rep = certify_curve_spec(rec)
+    assert [(p["verdict"], p["ok"]) for p in rep["points"]] == \
+        [("UNRESOLVED", None)]
+    assert rep["ok"] is None
+    # a point off the curve still fails, and a failure outranks it
+    rec.singular_points.append(((Fraction(1), Fraction(0)), "E6"))
+    rep = certify_curve_spec(rec)
+    assert rep["points"][1]["ok"] is False
+    assert rep["ok"] is False
 
 
 def test_c83_quartic_constants_live_in_quartic_subfield():

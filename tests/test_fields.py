@@ -7,9 +7,9 @@ import pytest
 
 from exactcurves.fields import (
     QQ, FieldAutomorphism, FieldElement, FieldError, NumberField,
-    element_from_doc, element_to_doc, field_create, field_from_doc,
+    common_field, element_from_doc, element_to_doc, field_create, field_from_doc,
     rational_roots, roots_in_field, sqrt_in_field, sturm_real_roots,
-    up_derivative, up_divmod, up_eval, up_gcd, up_mul, up_trim,
+    tower, up_derivative, up_divmod, up_eval, up_gcd, up_mul, up_trim,
 )
 from exactcurves.multipoly import MultiPoly, factor_bounded
 
@@ -82,6 +82,32 @@ def test_coercion_through_the_whole_tower():
     assert (w + eta) - w == K2.coerce(eta)
     # rational constants of any level still come down to Q
     assert QQ.coerce(K2.coerce(Fraction(3, 4))) == Fraction(3, 4)
+
+
+def test_tower_lists_levels_from_q_up():
+    K, K1 = make_K1()
+    assert tower(K1) == [K, K1]
+    assert tower(K) == [K]
+    assert tower(QQ) == []
+
+
+def test_common_field_is_the_deepest_item():
+    K, K1 = make_K1()
+    zeta_poly = MultiPoly.var(("x",), "x", K1) * K1.gen()
+    assert common_field(Fraction(1, 2), K.gen(), zeta_poly) is K1
+    assert common_field(3, Fraction(1, 2)) is QQ
+    assert common_field(K, K.gen()) is K
+
+
+def test_unrelated_towers_do_not_meet():
+    A = field_create([Fraction(-2), 0, 1], varname="a")
+    B = field_create([Fraction(-3), 0, 1], varname="b")
+    with pytest.raises(FieldError):
+        A.gen() + B.gen()
+    with pytest.raises(FieldError):
+        common_field(A.gen(), B)
+    assert A.gen() != B.gen()
+    assert not (A.one() == B.one())
 
 
 def test_division_and_zero_division():

@@ -48,6 +48,15 @@ def test_cone_deltoid_far_cusp():
     assert is_power  # perfect square
 
 
+@pytest.mark.parametrize("text", ["u^3 - v^3 + u^4", "u*v^2 + v^3 + u^4"])
+def test_cubic_cone_not_a_cube(text):
+    # with and without a u^3 term; neither cone is c*L^3
+    germ = CurveGerm(parse_poly(text, UV))
+    m, _cone, is_power, L = multiplicity_and_cone(germ)
+    assert (m, is_power, L) == (3, False, None)
+    assert certify_type(germ, "E6").verdict == "OTHER"
+
+
 def test_point_off_curve_rejected():
     germ = CurveGerm(parse_poly("u^3 - v^4 + 1", UV))
     with pytest.raises(GermError):
