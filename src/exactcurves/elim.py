@@ -605,8 +605,7 @@ def _values_of(factor: MultiPoly, var: str, field, name_counter):
     if deg == 1:
         yield field, field.coerce(-coeffs[0]), [], ""
         return
-    name_counter[0] += 1
-    name = f"w{name_counter[0]}"
+    name = fl.fresh_name(field, name_counter)
     try:
         ext = NumberField(name, coeffs, field)
     except FieldError as exc:

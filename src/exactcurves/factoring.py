@@ -1,6 +1,12 @@
-"""Exact factorization of univariate polynomials over Q and over towers.
+"""Exact gcds and factorization of univariate polynomials over Q and over
+towers.
 
-One path serves every caller that needs roots or irreducible factors
+`poly_gcd` is the only function that picks a gcd algorithm for a field:
+the primitive remainder sequence over Z for Q, Euclid's algorithm over a
+tower.  Yun's squarefree decomposition ("On square-free decomposition
+algorithms", 1976) is built on it and feeds `irreducible_factors`.
+
+One factoring path serves every caller that needs roots or irreducible factors
 (`fields.roots_in_field`, `fields.sqrt_in_field`,
 `multipoly.factor_bounded`, and the branch and candidate splitting in
 `singular`):
@@ -29,8 +35,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-from .fields import (FieldError, RationalField, up_derivative, up_divmod,
-                     up_gcd, up_monic, up_trim)
+from .fields import (FieldError, RationalField, up_add, up_derivative,
+                     up_divmod, up_monic, up_mul, up_prem, up_sub, up_trim)
 
 # Subsets of modular factors tried, per polynomial over Q, before the
 # recombination gives up and reports the rest unresolved.
@@ -39,39 +45,73 @@ RECOMBINATION_BUDGET = 1 << 16
 PRIME_TRIALS = 5
 
 
-def irreducible_factors(poly, field):
-    """Monic irreducible factors over `field` of the squarefree part of `poly`.
+def poly_gcd(a, b, field):
+    """Monic gcd over `field` of two coefficient lists ([] when both are 0).
 
-    Returns (factors, unresolved), lists of monic coefficient lists sorted
-    by degree whose product is the monic squarefree part; `unresolved`
-    holds the parts left unsplit at the recombination budget.
+    This is the one place that picks a gcd algorithm: over Q the primitive
+    remainder sequence over Z, over a tower Euclid's algorithm.
     """
-    poly = up_monic([field.coerce(c) for c in poly])
-    if not poly:
+    a, b = up_trim(a), up_trim(b)
+    if isinstance(field, RationalField) and a and b:
+        return _monic(_gcd_z(_integral(a), _integral(b)))
+    while b:
+        a, b = b, up_divmod(a, b)[1]
+    return up_monic(a)
+
+
+def squarefree_decomposition(poly, field):
+    """Yun's squarefree decomposition of a nonzero polynomial over `field`.
+
+    Returns (lc, [(g_i, i), ...]) with poly = lc * prod g_i^i, each g_i
+    monic, squarefree and nonconstant, the g_i pairwise coprime and listed
+    by increasing i; every gcd is a `poly_gcd`.  Over Q, a poly that stays
+    squarefree of full degree modulo one of PRIME_TRIALS primes is returned
+    as one part at once.
+    """
+    f = up_trim([field.coerce(c) for c in poly])
+    if not f:
         raise FieldError("zero polynomial")
-    if len(poly) <= 2:
-        return ([poly] if len(poly) == 2 else []), []
-    factors, unresolved = _factor_squarefree(_squarefree_part(poly, field),
-                                             field)
-    return sorted(factors, key=len), sorted(unresolved, key=len)
+    lc, f = f[-1], up_monic(f)
+    if len(f) == 1:
+        return lc, []
+    if isinstance(field, RationalField):
+        z = _integral(f)
+        p = 2
+        for _ in range(PRIME_TRIALS):
+            p = _next_prime(p)
+            if z[-1] % p and _squarefree_mod(z, p):
+                return lc, [(f, 1)]
+    # Yun: with a = gcd(f, f'), b = f/a and c = f'/a, each round splits off
+    # g = gcd(b, c - b'), the product of the factors of multiplicity i
+    d = up_derivative(f)
+    a = poly_gcd(f, d, field)
+    b, c = up_divmod(f, a)[0], up_divmod(d, a)[0]
+    parts = []
+    i = 1
+    while len(b) > 1:
+        c = up_sub(c, up_derivative(b))
+        g = poly_gcd(b, c, field)
+        if len(g) > 1:
+            parts.append((g, i))
+        b, c = up_divmod(b, g)[0], up_divmod(c, g)[0]
+        i += 1
+    return lc, parts
 
 
-def _squarefree_part(f, field):
-    """The squarefree part of a monic f.  Over Q, f is squarefree at once
-    when it stays squarefree of full degree modulo one of a few primes;
-    otherwise the gcd with f' comes from a primitive remainder sequence
-    over Z."""
-    if not isinstance(field, RationalField):
-        g = up_gcd(f, up_derivative(f))
-        return up_divmod(f, g)[0] if len(g) > 1 else f
-    z = _integral(f)
-    p = 2
-    for _ in range(PRIME_TRIALS):
-        p = _next_prime(p)
-        if z[-1] % p and _squarefree_mod(z, p):
-            return f
-    g = _gcd_z(z, [i * z[i] for i in range(1, len(z))])
-    return f if len(g) == 1 else _monic(_exact_div_z(z, g))
+def irreducible_factors(poly, field):
+    """Monic irreducible factors of a nonzero `poly` over `field`.
+
+    Returns (factors, unresolved), lists of (q, mult) with poly = lc *
+    prod q^mult over both; `unresolved` holds parts left unsplit at the
+    recombination budget.  Each Yun part is factored once; the parts come
+    by increasing multiplicity, and each part's factors by degree.
+    """
+    factors, unresolved = [], []
+    for g, mult in squarefree_decomposition(poly, field)[1]:
+        split, rest = _factor_squarefree(g, field)
+        factors += [(q, mult) for q in sorted(split, key=len)]
+        unresolved += [(q, mult) for q in sorted(rest, key=len)]
+    return factors, unresolved
 
 
 def _factor_squarefree(f, field):
@@ -97,7 +137,7 @@ def _factor_tower(f, K):
         s = (k + 1) // 2 if k % 2 else -(k // 2)
         g = _shift(f, -s * a) if s else f
         norm = up_monic(_norm(g, K))
-        if len(_squarefree_part(norm, K.base)) == len(norm):
+        if [m for _g, m in squarefree_decomposition(norm, K.base)[1]] == [1]:
             break
     else:
         raise FieldError("no shift gives a squarefree norm")
@@ -106,7 +146,7 @@ def _factor_tower(f, K):
         return [f], []
 
     def split(h):
-        q = up_gcd(g, [K.coerce(c) for c in h])
+        q = poly_gcd(g, [K.coerce(c) for c in h], K)
         return _shift(q, s * a) if s else q
     return [split(h) for h in parts], [split(h) for h in rest]
 
@@ -145,7 +185,7 @@ def _factor_q(f):
 
 
 def _integral(f):
-    """The primitive integer multiple of a monic rational f."""
+    """The primitive integer multiple of a rational f, lc > 0."""
     den = lcm(*(c.denominator for c in f))
     return _primitive([int(c * den) for c in f])
 
@@ -245,22 +285,8 @@ def _gcd_z(a, b):
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _prem_z(a, b)
+        a, b = b, up_prem(a, b)
         b = _primitive(b) if b else b
-    return a
-
-
-def _prem_z(a, b):
-    """A pseudo-remainder of a by b over Z (a multiple of a mod b)."""
-    a = list(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db:
-        c = a[-1]
-        a = [x * b[-1] for x in a]
-        k = len(a) - 1 - db
-        for i, y in enumerate(b):
-            a[k + i] -= c * y
-        _trim(a)
     return a
 
 
@@ -351,7 +377,7 @@ def _edf(f, d, p, rng):
         return [f]
     e = (p ** d - 1) // 2
     while True:
-        a = _trim([rng.randrange(p) for _ in range(len(f) - 1)])
+        a = up_trim([rng.randrange(p) for _ in range(len(f) - 1)])
         if len(a) < 2:
             continue
         g = _gcd_mod(f, a, p)
@@ -366,14 +392,8 @@ def _edf(f, d, p, rng):
 # dense integer polynomials modulo m (coefficient lists, index = degree)
 # ---------------------------------------------------------------------------
 
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def _mod(a, m):
-    return _trim([c % m for c in a])
+    return up_trim([c % m for c in a])
 
 
 def _monic_mod(a, p):
@@ -382,25 +402,15 @@ def _monic_mod(a, p):
 
 
 def _add_mod(a, b, m):
-    if len(a) < len(b):
-        a, b = b, a
-    return _mod([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)],
-                m)
+    return _mod(up_add(a, b), m)
 
 
 def _sub_mod(a, b, m):
-    return _add_mod(a, [-c for c in b], m)
+    return _mod(up_sub(a, b), m)
 
 
 def _mul_mod(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _mod(out, m)
+    return _mod(up_mul(a, b, 0), m)
 
 
 def _divmod_mod(a, b, m):
@@ -417,7 +427,7 @@ def _divmod_mod(a, b, m):
         if c:
             for i, y in enumerate(b):
                 a[k + i] = (a[k + i] - c * y) % m
-    return _trim(q), _trim(a[:db])
+    return up_trim(q), up_trim(a[:db])
 
 
 def _squarefree_mod(a, p):

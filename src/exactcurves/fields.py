@@ -5,15 +5,16 @@ extensions, e.g. Q -> Q[eta] -> Q[eta][zeta] -> one further bounded
 extension), each level Q[a]/(p) given by a monic minimal
 polynomial.  Elements are coordinate vectors in the
 power basis 1, a, a^2, ...  All arithmetic is exact; no value is ever
-represented in floating point.  Roots and square roots come from the
-exact factorizer in `factoring` (Zassenhaus over Q, Trager's norm method
-over towers).
+represented in floating point.  Gcds, roots and square roots come from
+`factoring` (`poly_gcd`, and the exact factorizer: Zassenhaus over Q,
+Trager's norm method over towers).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import zip_longest
+from typing import Sequence
 
 
 class FieldError(ValueError):
@@ -25,7 +26,8 @@ class FieldError(ValueError):
 #
 # Coefficients are either Fraction or FieldElement; both support +,-,*,/ and
 # are falsy exactly when zero, so the same code serves every level of the
-# tower.
+# tower; up_add, up_sub, up_mul and up_prem also serve integers and
+# polynomials.  Gcds live in `factoring.poly_gcd`, which picks per field.
 # ---------------------------------------------------------------------------
 
 def up_trim(p):
@@ -40,13 +42,7 @@ def up_deg(p):
 
 
 def up_add(p, q):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else 0
-        b = q[i] if i < len(q) else 0
-        out.append(a + b)
-    return up_trim(out)
+    return up_trim([a + b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 def up_neg(p):
@@ -79,20 +75,17 @@ def up_divmod(p, q):
     q = up_trim(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(p)
-    d = len(q) - 1
-    lead = q[-1]
-    inv = Fraction(1) / lead
-    quot = [0 * lead] * max(0, len(r) - d)
-    while len(up_trim(r)) - 1 >= d and up_trim(r):
-        r = up_trim(r)
+    r, d = up_trim(p), len(q) - 1
+    inv = Fraction(1) / q[-1]
+    quot = [0 * q[-1]] * max(0, len(r) - d)
+    while len(r) > d:
         k = len(r) - 1 - d
-        c = r[-1] * inv
-        quot[k] = c
-        for i in range(len(q)):
+        c = quot[k] = r[-1] * inv
+        # the leading term cancels exactly; only the lower ones change
+        for i in range(d):
             r[k + i] = r[k + i] - c * q[i]
-        r = r[:-1]
-    return up_trim(quot), up_trim(r)
+        r = up_trim(r[:-1])
+    return up_trim(quot), r
 
 
 def up_monic(p):
@@ -103,11 +96,21 @@ def up_monic(p):
     return [a * inv for a in p]
 
 
-def up_gcd(p, q):
-    p, q = up_trim(p), up_trim(q)
-    while q:
-        p, q = q, up_divmod(p, q)[1]
-    return up_monic(p)
+def up_prem(A, B):
+    """Pseudo-remainder lc(B)^(deg A - deg B + 1) * A mod B, without
+    division."""
+    A, lb = up_trim(A), B[-1]
+    k = len(A) - len(B) + 1
+    while len(A) >= len(B):
+        la, shift = A[-1], len(A) - len(B)
+        A = [c * lb for c in A]
+        for i, b in enumerate(B):
+            A[shift + i] = A[shift + i] - la * b
+        A = up_trim(A[:-1])
+        k -= 1
+    for _ in range(k):
+        A = [c * lb for c in A]
+    return A
 
 
 def up_eval(p, x):
@@ -172,6 +175,9 @@ class NumberField:
         if base_depth >= 3:
             raise FieldError("tower depth exceeded (at most 3 extensions "
                              "over Q)")
+        if varname in (f.name for f in tower(base)):
+            raise FieldError(f"generator name {varname!r} already in the "
+                             "tower")
         mp = up_trim([base.coerce(c) for c in minpoly])
         if len(mp) < 2:
             raise FieldError("minimal polynomial must have degree >= 1")
@@ -368,6 +374,11 @@ class FieldElement:
         return x.coords == y.coords
 
     def __hash__(self):
+        # equal values of different tower levels hash alike: a constant
+        # hashes as its base value, down to the Fraction
+        c = self.as_base_constant()
+        if c is not None:
+            return hash(c)
         return hash((id(self.field), self.coords))
 
     def __repr__(self):
@@ -410,6 +421,16 @@ def common_field(*items):
         if isinstance(f, NumberField) and f not in levels:
             raise FieldError(f"incompatible fields {f!r} and {top!r}")
     return top
+
+
+def fresh_name(field, counter):
+    """The next generator name w<n> not taken in the tower of `field`;
+    `counter` is a one-element list holding the last n, advanced in place."""
+    taken = {f.name for f in tower(field)}
+    counter[0] += 1
+    while f"w{counter[0]}" in taken:
+        counter[0] += 1
+    return f"w{counter[0]}"
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +480,17 @@ class FieldAutomorphism:
             acc = acc * img + self._apply_level(c, level - 1)
         return acc
 
-    def order(self, cap: int = 24) -> int:
-        """Multiplicative order of the automorphism on generators."""
+    def order(self) -> int:
+        """Multiplicative order of the automorphism on generators; at most
+        the degree of the field over Q, the largest order of its
+        automorphism group."""
         gens = [self.field.coerce(lvl.gen()) for lvl in self.levels]
         cur = list(gens)
-        for n in range(1, cap + 1):
+        for n in range(1, self.field.total_degree() + 1):
             cur = [self.apply(g) for g in cur]
             if cur == gens:
                 return n
-        raise FieldError(f"order exceeds cap {cap}")
+        raise FieldError("no power up to the field degree is the identity")
 
 
 # ---------------------------------------------------------------------------
@@ -530,38 +553,32 @@ def element_from_doc(field, data):
 # ---------------------------------------------------------------------------
 
 def sturm_real_roots(f: Sequence[Fraction]) -> int:
-    """Number of distinct real roots of a nonzero rational polynomial."""
+    """Number of distinct real roots of a nonzero rational polynomial.
+
+    The chain f, f', -rem, ... needs no squarefree step: it ends in
+    g = gcd(f, f'), every member is g times a member of the Sturm chain of
+    f/g, and g has one sign at each of -oo and +oo, so the sign
+    variations there, and hence the count, are those of f/g.
+    """
     f = up_trim([Fraction(c) if isinstance(c, int) else c for c in f])
     if not f:
         raise FieldError("zero polynomial")
     if len(f) == 1:
         return 0
-    # squarefree part
-    g = up_gcd(f, up_derivative(f))
-    if up_deg(g) > 0:
-        f = up_divmod(f, g)[0]
     chain = [f, up_derivative(f)]
     while up_deg(chain[-1]) > 0:
         rem = up_divmod(chain[-2], chain[-1])[1]
         if not rem:
             break
         chain.append(up_neg(rem))
-    if not chain[-1]:
-        chain.pop()
 
-    def sign_at_inf(p, positive):
-        lc = p[-1]
-        if positive:
-            return 1 if lc > 0 else -1
-        return (1 if lc > 0 else -1) * (1 if (len(p) - 1) % 2 == 0 else -1)
+    def variations(at_plus_infinity):
+        # sign of p at +oo is that of lc(p); at -oo it flips with odd degree
+        signs = [(p[-1] > 0) == (at_plus_infinity or len(p) % 2 == 1)
+                 for p in chain]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    def variations(signs):
-        signs = [s for s in signs if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-    vneg = variations([sign_at_inf(p, False) for p in chain])
-    vpos = variations([sign_at_inf(p, True) for p in chain])
-    return vneg - vpos
+    return variations(False) - variations(True)
 
 
 # ---------------------------------------------------------------------------
@@ -612,4 +629,4 @@ def roots_in_field(poly, field):
     if unresolved:
         raise FieldError("factorization left unresolved at the "
                          "recombination budget")
-    return [-q[0] for q in factors if len(q) == 2]
+    return [-q[0] for q, _mult in factors if len(q) == 2]

@@ -106,11 +106,11 @@ def standard_target(name: str) -> FiniteGroup:
     raise HomError(f"unknown target group {name!r}")
 
 
-DEFAULT_TARGET_CAP = 120
+# Largest target order `count_homs` accepts.
+TARGET_MAX_ORDER = 120
 
 
-def count_homs(p: Presentation, target,
-               order_cap: int = DEFAULT_TARGET_CAP) -> int:
+def count_homs(p: Presentation, target) -> int:
     """Number of homomorphisms from the presented group into `target`.
 
     Backtracking over generator images; each relator is checked as soon
@@ -119,9 +119,9 @@ def count_homs(p: Presentation, target,
     """
     if isinstance(target, str):
         target = standard_target(target)
-    if target.order > order_cap:
+    if target.order > TARGET_MAX_ORDER:
         raise HomError(
-            f"target order {target.order} exceeds cap {order_cap}")
+            f"target order {target.order} exceeds {TARGET_MAX_ORDER}")
     gens = list(p.generators)
     gidx = {g: i for i, g in enumerate(gens)}
     n = len(gens)

@@ -3,7 +3,8 @@
 Terms are stored as a dict from exponent tuples to nonzero coefficients.
 Coefficients are Fraction (over Q) or FieldElement.  Resultants use the
 subresultant polynomial-remainder sequence to keep coefficient growth under
-control; gcds and squarefree decomposition work on a univariate view.
+control; gcds, squarefree decomposition and factoring are univariate views
+of `factoring`.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from . import factoring
 from .fields import (QQ, FieldElement, FieldError, common_field,
-                     element_from_doc, element_to_doc, tower, up_deg, up_trim)
+                     element_from_doc, element_to_doc, tower, up_deg, up_prem,
+                     up_trim)
 
 
 class PolyError(ValueError):
@@ -162,7 +165,10 @@ class MultiPoly:
         return pair[0].terms == pair[1].terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        if any(any(e) for e in self.terms):
+            return hash((self.vars, frozenset(self.terms.items())))
+        # a constant equals, so hashes as, its coefficient
+        return hash(next(iter(self.terms.values()), 0))
 
     # -- structure ---------------------------------------------------------
     def degree(self, weights: Optional[Sequence[int]] = None) -> int:
@@ -379,29 +385,6 @@ def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 # resultants via subresultant PRS
 # ---------------------------------------------------------------------------
 
-def _prem(A, B):
-    """Pseudo-remainder: lc(B)^(degA-degB+1) * A mod B (no fractions)."""
-    A = list(A)
-    dA, dB = up_deg(A), up_deg(B)
-    lb = B[-1]
-    k = dA - dB + 1
-    while up_deg(up_trim(A)) >= dB and up_trim(A):
-        A = up_trim(A)
-        dA = up_deg(A)
-        la = A[-1]
-        A = [c * lb for c in A]
-        shift = dA - dB
-        for i in range(len(B)):
-            A[shift + i] = A[shift + i] - la * B[i]
-        A = A[:-1]
-        k -= 1
-    A = up_trim(A)
-    # normalize remaining power of lb
-    for _ in range(max(0, k)):
-        A = [c * lb for c in A]
-    return up_trim(A)
-
-
 def _ring_exact_div_coeff(a, b):
     """Exact division of ring coefficients (MultiPoly or field element)."""
     if isinstance(a, MultiPoly):
@@ -441,7 +424,7 @@ def resultant_univ(A, B):
         delta = dA - dB
         if dA % 2 == 1 and dB % 2 == 1:
             s = -s
-        R = _prem(A, B)
+        R = up_prem(A, B)
         if not R:
             return _zero_like(A[-1])
         denom = g
@@ -553,51 +536,29 @@ def _bareiss_det(M):
 
 
 # ---------------------------------------------------------------------------
-# univariate gcd / squarefree over a field
+# univariate gcd, squarefree decomposition and factoring (`factoring`)
 # ---------------------------------------------------------------------------
 
+def _univariate(coeffs, f, name):
+    return MultiPoly.from_univariate(coeffs, f.vars, name, f.field)
+
+
 def poly_gcd_univ(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    """Monic gcd of two polynomials univariate in `name`."""
-    from . import fields as fl
-    a = f.univariate_coeffs(name)
-    b = g.univariate_coeffs(name) if g is not None else []
-    gc = fl.up_gcd(a, b)
-    return MultiPoly.from_univariate(gc, f.vars, name, f.field)
+    """Monic gcd (`factoring.poly_gcd`) of two polynomials univariate in
+    `name`."""
+    return _univariate(factoring.poly_gcd(
+        f.univariate_coeffs(name), g.univariate_coeffs(name), f.field),
+        f, name)
 
 
 def squarefree_decomposition(f: MultiPoly, name: str):
-    """Yun's algorithm: f = c * prod f_i^i, f_i squarefree, pairwise coprime.
-
-    Returns (content, [(f_i, i), ...]) with each f_i monic in `name`.
+    """Yun's algorithm (`factoring.squarefree_decomposition`) on f,
+    univariate in `name`: f = c * prod f_i^i, f_i squarefree, pairwise
+    coprime; returns (c, [(f_i, i), ...]) with each f_i monic.
     """
-    from . import fields as fl
-    coeffs = f.univariate_coeffs(name)
-    coeffs = fl.up_trim(coeffs)
-    if not coeffs:
-        raise PolyError("zero polynomial")
-    lc = coeffs[-1]
-    monic = [c / lc for c in coeffs]
-    d = fl.up_derivative(monic)
-    a = fl.up_gcd(monic, d)
-    if fl.up_deg(a) == 0:
-        if fl.up_deg(monic) > 0:
-            return lc, [(MultiPoly.from_univariate(
-                monic, f.vars, name, f.field), 1)]
-        return lc, []
-    out = []
-    b = fl.up_divmod(monic, a)[0]
-    c = fl.up_divmod(d, a)[0]
-    i = 1
-    while fl.up_deg(b) > 0:
-        dmb = fl.up_sub(c, fl.up_derivative(b))
-        g = fl.up_gcd(b, dmb)
-        if fl.up_deg(g) > 0:
-            out.append((MultiPoly.from_univariate(
-                g, f.vars, name, f.field), i))
-        b = fl.up_divmod(b, g)[0]
-        c = fl.up_divmod(dmb, g)[0]
-        i += 1
-    return lc, out
+    lc, parts = factoring.squarefree_decomposition(f.univariate_coeffs(name),
+                                                   f.field)
+    return lc, [(_univariate(g, f, name), i) for g, i in parts]
 
 
 def squarefree_part(f: MultiPoly, name: str) -> MultiPoly:
@@ -608,33 +569,23 @@ def squarefree_part(f: MultiPoly, name: str) -> MultiPoly:
     return out
 
 
-# ---------------------------------------------------------------------------
-# bounded-degree factor search over Q (univariate)
-# ---------------------------------------------------------------------------
-
 def factor_bounded(f: MultiPoly, name: str, cap: int = 2):
     """Irreducible factors of f over its field, with multiplicities.
 
     Returns (content, factors, unresolved).  The factorization is exact
     (`factoring.irreducible_factors`); `cap` only sorts its output:
     `factors` lists (MultiPoly, mult) for the monic irreducible factors of
-    degree <= cap, and `unresolved` those of higher degree together with
-    any part the factorizer left unsplit at its recombination budget.
+    degree <= cap, and `unresolved` those of higher degree followed by any
+    part the factorizer left unsplit at its recombination budget.
     """
-    from .factoring import irreducible_factors
-    content, parts = squarefree_decomposition(f, name)
+    coeffs = f.univariate_coeffs(name)
+    irreducible, unsplit = factoring.irreducible_factors(coeffs, f.field)
     factors, unresolved = [], []
-
-    def poly(q):
-        return MultiPoly.from_univariate(q, f.vars, name, f.field)
-    for p, mult in parts:
-        irreducible, unsplit = irreducible_factors(
-            p.univariate_coeffs(name), f.field)
-        for q in irreducible:
-            (factors if up_deg(q) <= cap else unresolved).append(
-                (poly(q), mult))
-        unresolved += [(poly(q), mult) for q in unsplit]
-    return content, factors, unresolved
+    for q, mult in irreducible:
+        (factors if up_deg(q) <= cap else unresolved).append(
+            (_univariate(q, f, name), mult))
+    unresolved += [(_univariate(q, f, name), m) for q, m in unsplit]
+    return coeffs[-1], factors, unresolved
 
 
 def dehomogenize(f: MultiPoly, i: int) -> MultiPoly:

@@ -16,7 +16,7 @@ from math import gcd
 from typing import Sequence
 
 from . import fields as fl
-from .factoring import irreducible_factors
+from .factoring import irreducible_factors, poly_gcd
 from .fields import NumberField
 from .multipoly import MultiPoly, PolyError, dehomogenize, resultant
 
@@ -361,18 +361,18 @@ def _edge_roots(edge, field):
     if unresolved:
         return None
     out = []
-    for part in factors:
+    for part, _mult in factors:
         if len(part) == 2:
             out.append((-part[0], field))
             continue
         if not _adjoinable(part, field):
             return None
-        ext = NumberField(_fresh_ext_name(field), part, field)
+        ext = NumberField(fl.fresh_name(field, _EXT_COUNTER), part, field)
         w = ext.gen()
         cofactor = fl.up_divmod([ext.coerce(c) for c in part],
                                 [-w, ext.one()])[0]
         conjugates, unresolved = irreducible_factors(cofactor, ext)
-        roots = [w] + [-q[0] for q in conjugates if len(q) == 2]
+        roots = [w] + [-q[0] for q, _mult in conjugates if len(q) == 2]
         if unresolved or len(roots) < fl.up_deg(part):
             # conjugate roots outside ext remain unaccounted
             return None
@@ -381,11 +381,6 @@ def _edge_roots(edge, field):
 
 
 _EXT_COUNTER = [0]
-
-
-def _fresh_ext_name(field):
-    _EXT_COUNTER[0] += 1
-    return f"w{_EXT_COUNTER[0]}"
 
 
 def _expand_branches(f: MultiPoly, remaining: int):
@@ -527,10 +522,7 @@ def tangent_lines_and_concurrency(f: MultiPoly, points: Sequence):
     if len(f.vars) != 3:
         raise GermError("projective polynomial must have 3 variables")
     lines = [_tangent_line_at(f, p) for p in points]
-    if len(lines) != 3:
-        raise GermError("concurrency test needs exactly 3 lines")
-    det = _det3(lines)
-    return lines, (not det)
+    return lines, lines_concurrent(lines)
 
 
 def _tangent_line_at(f: MultiPoly, point):
@@ -694,7 +686,7 @@ def _chart_no_common_zero(f, partials, i, witness):
                 return None
         g = univs[0]
         for h in univs[1:]:
-            g = fl.up_gcd(g, h)
+            g = poly_gcd(g, h, f.field)
         if fl.up_deg(g) == 0:
             witness["steps"].append(
                 f"{label}: eliminated {elim}; gcd of resultants in {keep} "
@@ -715,11 +707,12 @@ def _check_candidates(charts, elim, keep, g, field, witness, label):
         witness["steps"].append(
             f"{label}: candidate factorization unresolved; inconclusive")
         return None
-    for part in parts:
+    for part, _mult in parts:
         if len(part) == 2:
             r = -part[0]
         elif _adjoinable(part, field):
-            r = NumberField(_fresh_ext_name(field), part, field).gen()
+            name = fl.fresh_name(field, _EXT_COUNTER)
+            r = NumberField(name, part, field).gen()
         else:
             witness["steps"].append(
                 f"{label}: residual candidate factor beyond supported "
@@ -739,12 +732,11 @@ def _common_zero_at(charts, elim, keep, r):
     """Exact check: do the three chart polynomials share a zero with the
     `keep` coordinate equal to r?  A chart that vanishes at keep = r
     constrains nothing."""
-    univs = [fl.up_trim(p.substitute({keep: r})
-                        .univariate_coeffs(elim)) for p in charts]
-    nonzero = [u for u in univs if u]
+    subs = [p.substitute({keep: r}) for p in charts]
+    nonzero = [p.univariate_coeffs(elim) for p in subs if p]
     if not nonzero:
         return True
     g = nonzero[0]
     for h in nonzero[1:]:
-        g = fl.up_gcd(g, h)
+        g = poly_gcd(g, h, subs[0].field)
     return fl.up_deg(g) > 0

@@ -240,6 +240,7 @@ def test_base_field_polynomial_has_two_real_roots():
 #   - certificate invariance        tests/test_singular.py    (100 cases)
 #   - elimination soundness         tests/test_elim.py        (100 cases)
 #   - factoring against sympy       tests/test_factoring.py   (100 cases)
+#   - gcd and Yun against sympy     tests/test_factoring.py   (100 cases)
 # This meta-check asserts the advertised case counts are actually present
 # so the gate fails loudly if a suite is trimmed.
 
@@ -257,7 +258,8 @@ def test_property_suites_present_with_100_cases():
         "test_elim.py": [("test_elim_soundness_planted", 100)],
         "test_groups.py": [
             ("test_sparse_invariants_match_smith_forms", 100)],
-        "test_factoring.py": [("test_factor_matches_sympy", 100)],
+        "test_factoring.py": [("test_factor_matches_sympy", 100),
+                              ("test_gcd_and_squarefree_match_sympy", 100)],
     }
     for fname, suites in required.items():
         text = (here / fname).read_text()

@@ -9,7 +9,7 @@ from exactcurves.elim import (ElimError, EliminationNode, FactorFilter,
                               back_substitute, eliminate_step,
                               expand_children, make_root, search,
                               solve_system, system_from_doc)
-from exactcurves.fields import QQ, NumberField
+from exactcurves.fields import QQ, NumberField, tower
 from exactcurves.multipoly import parse_poly
 
 V2 = ("x", "y")
@@ -188,6 +188,15 @@ def test_system_from_doc():
     s = rep["solutions"][0]
     assert s["assignment"]["x"] == s["assignment"]["y"]
     assert 2 * s["assignment"]["x"] ** 2 == 1
+
+
+def test_adjoined_root_name_is_fresh_in_the_tower():
+    # over Q(w1) the root of y^2 - 2 must not be named w1 again
+    W = NumberField("w1", [Fraction(-3), 0, 1])
+    rep = solve_system(make_root(V2, [P("x - y"), P("y^2 - 2")], W))
+    (s,) = rep["solutions"]
+    assert [f.name for f in tower(s["field"])] == ["w1", "w2"]
+    assert s["assignment"]["y"] ** 2 == 2
 
 
 # -- filter transparency / determinism ---------------------------------------

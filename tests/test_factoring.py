@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from exactcurves.factoring import _norm, irreducible_factors
+from exactcurves.factoring import (_norm, irreducible_factors, poly_gcd,
+                                   squarefree_decomposition)
 from exactcurves.fields import (QQ, FieldError, NumberField, field_create,
                                 roots_in_field, up_mul)
 from exactcurves.multipoly import MultiPoly, factor_bounded
@@ -37,7 +38,7 @@ def test_norm_of_primitive_element_has_tower_degree():
     theta = K1.coerce(K.gen()) + K1.gen()
     norm = _norm(_norm([-theta, K1.one()], K1), K)
     factors, unresolved = irreducible_factors(norm, QQ)
-    assert [len(q) - 1 for q in factors] == [8] and not unresolved
+    assert [len(q) - 1 for q, _m in factors] == [8] and not unresolved
     coeffs = [K1.coerce(c) for c in norm]
     value = K1.zero()
     for c in reversed(coeffs):
@@ -54,7 +55,7 @@ def test_known_factors_recovered_over_K1():
                [K1.one(), zeta, K1.zero(), K1.one()]]
     factors, unresolved = irreducible_factors(product(planted, K1), K1)
     assert not unresolved
-    assert sorted(map(tuple, factors), key=len) == \
+    assert sorted((tuple(q) for q, _m in factors), key=len) == \
         sorted(map(tuple, planted), key=len)
 
 
@@ -64,7 +65,7 @@ def test_recombination_budget_leaves_input_unresolved(monkeypatch):
     import exactcurves.factoring as factoring
     monkeypatch.setattr(factoring, "RECOMBINATION_BUDGET", 1)
     f = [Fraction(c) for c in (1, 0, -10, 0, 1)]
-    assert irreducible_factors(f, QQ) == ([], [f])
+    assert irreducible_factors(f, QQ) == ([], [(f, 1)])
     with pytest.raises(FieldError):
         roots_in_field(f, QQ)
     g = MultiPoly.from_univariate(f, ("t",), "t")
@@ -96,6 +97,15 @@ def to_sympy(c, domain, eta, zeta):
     for x in reversed(c.coords):
         out = out * gen + to_sympy(x, domain, eta, zeta)
     return out
+
+
+def sympy_poly(coeffs, field):
+    import sympy
+    domain, eta, zeta = ((sympy.QQ, None, None) if field is QQ
+                         else sympy_domains()[field.depth() - 1])
+    return sympy.Poly.from_list(
+        [to_sympy(c, domain, eta, zeta) for c in reversed(coeffs)],
+        sympy.Symbol("t"), domain=domain)
 
 
 def random_element(field, rng):
@@ -146,15 +156,40 @@ def test_factor_matches_sympy(seed):
                 for q, m in sympy.factor_list(expr)[1]}
         assert got == want
         return
-    domain, eta, zeta = sympy_domains()[field.depth() - 1]
+    want = {(q.monic(), m) for q, m in
+            sympy_poly(f.univariate_coeffs("t"), field).factor_list()[1]}
+    assert {(sympy_poly(list(c), field), m) for c, m in got} == want
 
-    def poly(coeffs):
-        return sympy.Poly.from_list(
-            [to_sympy(c, domain, eta, zeta) for c in reversed(coeffs)], t,
-            domain=domain)
-    want = {(q.monic(), m)
-            for q, m in poly(f.univariate_coeffs("t")).factor_list()[1]}
-    assert {(poly(list(c)), m) for c, m in got} == want
+
+# -- differential suite for poly_gcd and Yun against sympy -------------------
+
+@pytest.mark.parametrize("seed", range(100))
+def test_gcd_and_squarefree_match_sympy(seed):
+    rng = random.Random(95_000 + seed)
+    K, K1 = towers()
+    field, deg = (QQ, 3) if seed < 60 else (K, 2) if seed < 85 else (K1, 1)
+
+    def planted():
+        return random_poly(field, rng, rng.randint(1, deg))
+    common = planted()
+    a = product([common, planted()], field)
+    b = product([common] * rng.randint(1, 2) + [planted()], field)
+    g = poly_gcd(a, b, field)
+    assert g[-1] == 1
+    assert sympy_poly(g, field) == \
+        sympy_poly(a, field).gcd(sympy_poly(b, field)).monic()
+    f = product([[Fraction(rng.randint(1, 5), 3)]]
+                + [common] * rng.randint(1, 3)
+                + [q for q in (planted(), planted()) for _ in
+                   range(rng.randint(1, 2))], field)
+    lc, parts = squarefree_decomposition(f, field)
+    back = [lc]
+    for q, m in parts:
+        back = product([back] + [q] * m, field)
+    assert back == f
+    want = sympy_poly(f, field).sqf_list()[1]
+    assert sorted((m, len(q) - 1) for q, m in parts) == \
+        sorted((m, q.degree()) for q, m in want)
 
 
 # -- the process never loads mpmath ------------------------------------------

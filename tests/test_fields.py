@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from exactcurves.factoring import poly_gcd
 from exactcurves.fields import (
     QQ, FieldAutomorphism, FieldElement, FieldError, NumberField,
     common_field, element_from_doc, element_to_doc, field_create, field_from_doc,
     rational_roots, roots_in_field, sqrt_in_field, sturm_real_roots,
-    tower, up_derivative, up_divmod, up_eval, up_gcd, up_mul, up_trim,
+    tower, up_derivative, up_divmod, up_eval, up_mul, up_trim,
 )
 from exactcurves.multipoly import MultiPoly, factor_bounded
 
@@ -110,6 +111,16 @@ def test_unrelated_towers_do_not_meet():
     assert not (A.one() == B.one())
 
 
+def test_hash_agrees_with_equality():
+    # equal values hash alike across tower levels and against rationals
+    K, K1 = make_K1()
+    eta = K.gen()
+    assert len({eta, K1.coerce(eta)}) == 1
+    assert hash(K.one()) == hash(1)
+    assert hash(K1.coerce(Fraction(2, 3))) == hash(Fraction(2, 3))
+    assert len({K1.gen() * eta, K1.gen() * K1.coerce(eta)}) == 1
+
+
 def test_division_and_zero_division():
     K = make_K()
     eta = K.gen()
@@ -128,6 +139,15 @@ def test_tower_depth_cap():
     # ...a fourth is not
     with pytest.raises(FieldError):
         NumberField("w2", [K2.one(), K2.zero(), K2.one()], K2)
+
+
+def test_duplicate_generator_name_rejected():
+    # a repeated name would leave the inner generator unwritable in text
+    K, K1 = make_K1()
+    with pytest.raises(FieldError):
+        NumberField("eta", [K1.one(), K1.zero(), K1.one()], K1)
+    with pytest.raises(FieldError):
+        field_from_doc({"vars": ["a", "a"], "minpolys": ["t^2-2", "t^2-3"]})
 
 
 # -- automorphisms -----------------------------------------------------------
@@ -344,6 +364,6 @@ def test_up_gcd_is_common_divisor():
         p, q = up_mul(g, a), up_mul(g, b)
         if not p or not q:
             continue
-        d = up_gcd(p, q)
+        d = poly_gcd(p, q, K)
         assert not up_divmod(p, d)[1]
         assert not up_divmod(q, d)[1]

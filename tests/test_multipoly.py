@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from exactcurves.fields import QQ, field_create, up_gcd, up_derivative
+from exactcurves.factoring import poly_gcd
+from exactcurves.fields import QQ, NumberField, field_create, up_derivative
 from exactcurves.multipoly import (
     MultiPoly, PolyError, exact_div, factor_bounded, parse_poly,
     poly_from_sparse, poly_gcd_univ, poly_to_sparse, resultant,
@@ -157,6 +158,17 @@ def test_resultant_over_number_field():
     assert resultant(p, q, "x") == sylvester_resultant(p, q, "x")
 
 
+def test_hash_agrees_with_equality():
+    one = MultiPoly.const(("x",), 1)
+    assert one == 1 and len({one, 1}) == 1
+    K = field_create([Fraction(-2), 0, 1], varname="a")
+    K1 = NumberField("b", [K.one(), K.zero(), K.one()], K)
+    p = parse_poly("a*x^2 + 1", ("x",), K)
+    assert p == p.to_field(K1) and len({p, p.to_field(K1)}) == 1
+    assert len({parse_poly("x + 1", ("x",)),
+                parse_poly("x + 1", ("x",), K)}) == 1
+
+
 # -- gcd / squarefree --------------------------------------------------------
 
 def test_gcd_univ():
@@ -191,7 +203,7 @@ def test_squarefree_parts_are_squarefree(seed):
     _, parts = squarefree_decomposition(g, "x")
     for p, _m in parts:
         cs = p.univariate_coeffs("x")
-        assert len(up_gcd(cs, up_derivative(cs))) == 1  # gcd is 1
+        assert len(poly_gcd(cs, up_derivative(cs), QQ)) == 1  # gcd is 1
     # multiplicity-weighted product reconstructs g up to content
     acc = MultiPoly.const(("x",), 1)
     for p, m in parts:
