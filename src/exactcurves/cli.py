@@ -99,7 +99,8 @@ def _cmd_curve(args):
             print(f"automorphism {a['name']}: invariant={a['invariant']}  "
                   f"[{'ok' if a['ok'] else 'MISMATCH'}]")
         if "smooth" in rep:
-            print(f"smooth: {rep['smooth']}")
+            print("smooth:", {None: "unresolved"}.get(rep["smooth"],
+                                                       rep["smooth"]))
         if "cusp_tangents_concurrent" in rep:
             print("cusp tangents concurrent:",
                   rep["cusp_tangents_concurrent"])

@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from importlib import resources
-from typing import Optional, Sequence
 
 from . import fields as fl
 from .fields import QQ, FieldAutomorphism, NumberField, field_from_doc
-from .multipoly import MultiPoly, PolyError, dehomogenize, parse_poly
+from .multipoly import MultiPoly, dehomogenize, parse_poly
 from .singular import (CurveGerm, GermError, UnresolvedGerm,
                        certify_composite, certify_smooth_projective,
                        certify_type, tangent_lines_and_concurrency)

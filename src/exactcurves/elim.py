@@ -16,7 +16,6 @@ than guessed.  Everything removed or left open is recorded in the audit log.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import fields as fl

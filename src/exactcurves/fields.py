@@ -367,19 +367,21 @@ class FieldElement:
         try:
             pair = self._pair(other)
         except FieldError:
-            return False  # elements of unrelated towers
+            # unrelated towers: the values can meet only where each is
+            # taken down its tower
+            x, y = _lowest(self), _lowest(other)
+            return (x is not self or y is not other) and x == y
         if pair is None:
             return NotImplemented
         x, y = pair
         return x.coords == y.coords
 
     def __hash__(self):
-        # equal values of different tower levels hash alike: a constant
-        # hashes as its base value, down to the Fraction
-        c = self.as_base_constant()
-        if c is not None:
-            return hash(c)
-        return hash((id(self.field), self.coords))
+        # equal values of different tower levels hash alike
+        x = _lowest(self)
+        if isinstance(x, FieldElement):
+            return hash((id(x.field), x.coords))
+        return hash(x)
 
     def __repr__(self):
         f = self.field
@@ -394,6 +396,13 @@ class FieldElement:
             else:
                 terms.append(f"({c})*{f.name}^{i}")
         return " + ".join(terms) if terms else "0"
+
+
+def _lowest(x):
+    """x taken down its tower while it is a constant of the level below."""
+    while isinstance(x, FieldElement) and x.as_base_constant() is not None:
+        x = x.as_base_constant()
+    return x
 
 
 def tower(field):
@@ -448,7 +457,9 @@ class FieldAutomorphism:
 
     `gen_images[i]` is the image of the generator of the i-th tower level
     (innermost = level 0 over Q).  Construction checks that each image
-    satisfies the corresponding minimal polynomial.
+    satisfies the corresponding minimal polynomial with its coefficients
+    mapped through the images of the lower levels, so that the map is a
+    homomorphism.
     """
 
     def __init__(self, field: NumberField, gen_images: Sequence[FieldElement]):
@@ -458,8 +469,8 @@ class FieldAutomorphism:
         self.field = field
         self.gen_images = [field.coerce(g) for g in gen_images]
         self.levels = levels
-        for lvl, img in zip(levels, self.gen_images):
-            mp = [field.coerce(c) for c in lvl.minpoly]
+        for level, (lvl, img) in enumerate(zip(levels, self.gen_images)):
+            mp = [self._apply_level(c, level - 1) for c in lvl.minpoly]
             if up_eval(mp, img):
                 raise FieldError(
                     f"image of {lvl.name} does not satisfy its minimal polynomial")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 from .presentation import Presentation
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .words import GroupWord, WordError
+from .words import GroupWord
 
 
 class BraidError(ValueError):

@@ -10,7 +10,7 @@ faithful for 3 strands.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 from .braids import BraidWord, artin_act
 from .words import GroupWord

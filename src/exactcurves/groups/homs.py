@@ -8,8 +8,7 @@ quaternion groups packaged as multiplication tables.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .presentation import Presentation
 

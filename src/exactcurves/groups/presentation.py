@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .braids import BraidError, BraidWord, artin_act
-from .words import GroupWord, WordError, word
+from .words import GroupWord, word
 
 
 class PresentationError(ValueError):

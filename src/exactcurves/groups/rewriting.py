@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Sequence
 
-from .abelian import AbelianInvariants, abelianization_with_images
-from .presentation import Presentation, PresentationError
+from .abelian import abelianization_with_images
+from .presentation import Presentation
 from .words import GroupWord
 
 

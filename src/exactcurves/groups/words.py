@@ -8,7 +8,7 @@ e.g. "l2^-1*c4*l2*c2^-1" or "x^3*y^-2".
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Tuple
 
 
 class WordError(ValueError):

@@ -6,7 +6,8 @@ cuspidal type E6 (local model u^3 = v^4), truncated integer-exponent branch
 expansions for germs whose branches are all smooth, the composite
 three-branch type with pairwise contact orders (2,2,3), tangent-line
 concurrency, weighted Bezout numbers, and projective smoothness
-certificates via iterated resultants.
+certificates on one disjoint cover of the plane: the point (1:0:0), the
+line z = 0 and the chart z = 1.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 from . import fields as fl
 from .factoring import irreducible_factors, poly_gcd
 from .fields import NumberField
-from .multipoly import MultiPoly, PolyError, dehomogenize, resultant
+from .multipoly import MultiPoly, dehomogenize, resultant
 
 
 class GermError(ValueError):
@@ -574,169 +575,81 @@ def weighted_bezout(d1: int, d2: int, weights: Sequence[int]) -> Fraction:
 # projective smoothness certificates
 # ---------------------------------------------------------------------------
 
-# Safety stop: charts tried (the given one, then random linear changes)
-# before smoothness certification gives up.
-SMOOTH_MAX_ATTEMPTS = 4
-
-
 def certify_smooth_projective(f: MultiPoly):
-    """Whether a homogeneous plane curve is smooth, with an audit witness.
+    """Whether a homogeneous plane curve F is smooth, with an audit witness.
 
-    True iff the three partial derivatives have no common projective zero
-    (the curve itself then contains no such zero by the Euler relation).
-    Certified chart by chart via iterated resultants; a chart whose
-    eliminations degenerate triggers a recorded random linear change.
+    The singular points are the common zeros of F_x, F_y, F_z, which lie
+    on the curve by the Euler relation.  One pass over the disjoint cover
+    of the plane by the point (1:0:0), the line z = 0 less that point and
+    the chart z = 1 decides them exactly (README, "Smoothness").  The
+    verdict is True, False, or None when a candidate y-coordinate has a
+    factor left unresolved or beyond the extensions `_adjoinable` allows.
     """
     if len(f.vars) != 3:
         raise GermError("expected a polynomial in 3 variables")
     if not f.is_homogeneous():
         raise GermError("expected a homogeneous polynomial")
-    import random
-    rng = random.Random(20240817)
-    witness = {"steps": [], "changes": []}
-    g = f
-    for attempt in range(SMOOTH_MAX_ATTEMPTS):
-        verdict = _smooth_attempt(g, witness)
-        if verdict is not None:
-            witness["euler_note"] = (
-                "common zeros of the partials lie on the curve by the "
-                "Euler relation; checking the partials suffices")
-            return verdict, witness
-        # degenerate alignment: random linear change and retry
-        M = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-        if _det3([tuple(r) for r in M]) == 0:
-            continue
-        witness["changes"].append(M)
-        names = f.vars
-        subs = {}
-        for i, n in enumerate(names):
-            acc = MultiPoly.zero(names, f.field)
-            for jj, n2 in enumerate(names):
-                acc = acc + MultiPoly.const(names, M[i][jj], f.field) * \
-                    MultiPoly.var(names, n2, f.field)
-            subs[n] = acc
-        g = f.substitute(subs)
-    raise GermError("smoothness certification inconclusive after retries")
+    witness = {"steps": [], "euler_note": (
+        "common zeros of the partials lie on the curve by the Euler "
+        "relation; checking the partials suffices")}
 
+    def verdict(ok, note):
+        witness["steps"].append(note)
+        return ok, witness
 
-def _smooth_attempt(f: MultiPoly, witness):
-    names = f.vars
-    partials = [f.derivative(n) for n in names]
-    if any(p.is_zero() for p in partials):
-        # a vanishing partial means f ignores that variable; the curve is a
-        # cone over a binary form and is singular at the apex (degree >= 2)
-        if f.degree() >= 2:
-            witness["steps"].append("a partial derivative vanishes "
-                                    "identically: cone point is singular")
-            return False
-        return True
-    for i in range(3):
-        chart_ok = _chart_no_common_zero(f, partials, i, witness)
-        if chart_ok is None:
-            return None
-        if chart_ok is False:
-            return False
-    return True
-
-
-def _chart_no_common_zero(f, partials, i, witness):
-    """True if the partials have no common zero in chart x_i = 1."""
-    charts = [dehomogenize(p, i) for p in partials]
-    a, b, c = charts
-    x, y = a.vars
-    label = f"chart {f.vars[i]}=1"
-    nonconst = [p for p in (a, b, c) if p.degree() > 0]
-    if not nonconst:
-        if any(p for p in (a, b, c)):
-            witness["steps"].append(f"{label}: a partial is a nonzero "
-                                    "constant; no zero in this chart")
-            return True
-        return None
-    # choose an elimination variable present in at least two of the charts
-    for elim in (x, y):
-        keep = y if elim == x else x
-        degs = [p.degree_in(elim) for p in (a, b, c)]
-        if sum(1 for d in degs if d > 0) < 2:
-            continue
-        pivot_idx = min((d, t) for t, d in enumerate(degs) if d > 0)[1]
-        pivot = (a, b, c)[pivot_idx]
-        others = [p for t, p in enumerate((a, b, c)) if t != pivot_idx]
-        res = []
-        for g in others:
-            if g.degree_in(elim) > 0:
-                r = resultant(pivot, g, elim)
-            else:
-                r = g
-            if r.is_zero():
-                witness["steps"].append(
-                    f"{label}: zero resultant eliminating {elim} "
-                    "(common factor); inconclusive")
-                return None
-            res.append(r)
-        # every common zero of the three charts makes all entries of `res`
-        # vanish at its `keep` coordinate
-        univs = []
-        for r in res:
-            try:
-                univs.append(r.univariate_coeffs(keep))
-            except PolyError:
-                witness["steps"].append(
-                    f"{label}: resultant not univariate in {keep}; "
-                    "inconclusive")
-                return None
-        g = univs[0]
-        for h in univs[1:]:
-            g = poly_gcd(g, h, f.field)
-        if fl.up_deg(g) == 0:
-            witness["steps"].append(
-                f"{label}: eliminated {elim}; gcd of resultants in {keep} "
-                "is constant; no common zero")
-            return True
-        # candidate keep-coordinates: roots of g; check each exactly
-        verdict = _check_candidates(charts, elim, keep, g, f.field,
-                                    witness, label)
-        if verdict is not None:
-            return verdict
-    witness["steps"].append(f"{label}: no usable elimination; inconclusive")
-    return None
-
-
-def _check_candidates(charts, elim, keep, g, field, witness, label):
+    d, field = f.degree(), f.field
+    if d in (0, 1):
+        return verdict(True, "degree <= 1: a line is smooth")
+    partials = [f.derivative(n) for n in f.vars]
+    if not any(p.terms.get((d - 1, 0, 0)) for p in partials):
+        return verdict(False, "the partials vanish at (1:0:0)")
+    # points (t:1:0); a homogeneous partial has one term per power of t
+    g = _gcd_all([[p.terms.get((k, d - 1 - k, 0), field.zero())
+                   for k in range(d)] for p in partials], field)
+    if fl.up_deg(g) != 0:
+        return verdict(False, "the partials share a zero on the line z = 0")
+    witness["steps"].append("no common zero of the partials on z = 0")
+    # chart z = 1.  h has positive degree in x and h_y is nonzero: else F
+    # lies in K[y, z] or K[x, z], and (1:0:0) or (0:1:0) was found singular
+    h = dehomogenize(f, 2)
+    x, y = h.vars
+    chart = [h, h.derivative(x), h.derivative(y)]
+    res = [resultant(h, p, x) if p.degree_in(x) > 0 else p
+           for p in chart[1:]]
+    if any(r.is_zero() for r in res):
+        # h shares a factor of positive x-degree with a nonzero partial of
+        # lower degree: h, hence F, is reducible
+        return verdict(False, "zero resultant in x: F is reducible, hence "
+                       "singular where its components meet")
+    g = _gcd_all([r.univariate_coeffs(y) for r in res], field)
+    if fl.up_deg(g) == 0:
+        return verdict(True, "chart z = 1: the resultants in x have a "
+                       "constant gcd in y; no common zero")
     parts, unresolved = irreducible_factors(g, field)
-    if unresolved:
-        witness["steps"].append(
-            f"{label}: candidate factorization unresolved; inconclusive")
-        return None
+    decided = not unresolved
     for part, _mult in parts:
         if len(part) == 2:
             r = -part[0]
         elif _adjoinable(part, field):
-            name = fl.fresh_name(field, _EXT_COUNTER)
-            r = NumberField(name, part, field).gen()
+            r = NumberField(fl.fresh_name(field, _EXT_COUNTER), part,
+                            field).gen()
         else:
-            witness["steps"].append(
-                f"{label}: residual candidate factor beyond supported "
-                "extensions; inconclusive")
-            return None
-        if _common_zero_at(charts, elim, keep, r):
-            witness["steps"].append(
-                f"{label}: common zero of the partials at {keep}={r!r}")
-            return False
-    witness["steps"].append(
-        f"{label}: all candidate {keep}-values checked; none is a common "
-        "zero")
-    return True
+            decided = False
+            continue
+        at_r = [p.substitute({y: r}) for p in chart]
+        if fl.up_deg(_gcd_all([p.univariate_coeffs(x) for p in at_r],
+                              at_r[0].field)) != 0:
+            return verdict(False, f"chart z = 1: common zero of the "
+                           f"partials at {y} = {r}")
+    if not decided:
+        return verdict(None, "chart z = 1: a candidate factor is unresolved "
+                       "or beyond supported extensions; inconclusive")
+    return verdict(True, "chart z = 1: no candidate y-value is a common zero")
 
 
-def _common_zero_at(charts, elim, keep, r):
-    """Exact check: do the three chart polynomials share a zero with the
-    `keep` coordinate equal to r?  A chart that vanishes at keep = r
-    constrains nothing."""
-    subs = [p.substitute({keep: r}) for p in charts]
-    nonzero = [p.univariate_coeffs(elim) for p in subs if p]
-    if not nonzero:
-        return True
-    g = nonzero[0]
-    for h in nonzero[1:]:
-        g = poly_gcd(g, h, subs[0].field)
-    return fl.up_deg(g) > 0
+def _gcd_all(polys, field):
+    """Monic gcd of coefficient lists over `field`; [] when all are 0."""
+    g = []
+    for p in polys:
+        g = poly_gcd(g, p, field)
+    return g

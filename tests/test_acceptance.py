@@ -238,6 +238,7 @@ def test_base_field_polynomial_has_two_real_roots():
 #   - Nielsen-Schreier rank         tests/test_groups.py      (100 cases)
 #   - Artin automorphism/products   tests/test_groups.py      (100 each)
 #   - certificate invariance        tests/test_singular.py    (100 cases)
+#   - smoothness against sympy      tests/test_singular.py    (100 cases)
 #   - elimination soundness         tests/test_elim.py        (100 cases)
 #   - factoring against sympy       tests/test_factoring.py   (100 cases)
 #   - gcd and Yun against sympy     tests/test_factoring.py   (100 cases)
@@ -254,7 +255,8 @@ def test_property_suites_present_with_100_cases():
             ("test_resultant_multiplicative", 100),
             ("test_resultant_swap_sign", 100)],
         "test_singular.py": [
-            ("test_certificate_invariant_under_linear_change", 100)],
+            ("test_certificate_invariant_under_linear_change", 100),
+            ("test_smoothness_matches_groebner", 100)],
         "test_elim.py": [("test_elim_soundness_planted", 100)],
         "test_groups.py": [
             ("test_sparse_invariants_match_smith_forms", 100)],

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from exactcurves import checks as ck
+from exactcurves import checks as ck, curves
 from exactcurves.cli import main
 
 
@@ -75,6 +75,13 @@ class TestManifest:
         monkeypatch.setattr(ck, "certify_curve_spec",
                             lambda rec: dict(certify(rec), ok=held))
         assert ck.run_check("quartic-smoothness")["status"] == status
+
+    def test_undecided_smoothness_makes_check_unresolved(self, monkeypatch):
+        monkeypatch.setattr(curves, "certify_smooth_projective",
+                            lambda f: (None, {"steps": []}))
+        entry = ck.run_check("quartic-smoothness")
+        assert entry["status"] == "unresolved"
+        assert entry["details"]["c82_quartic_smooth"]["got"] is None
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ck.CheckError):
@@ -154,6 +161,14 @@ class TestCli:
         assert "deltoid_symmetric" in capsys.readouterr().out
         assert main(["curve", "certify", "deltoid_affine"]) == 0
         assert "overall: ok" in capsys.readouterr().out
+
+    def test_curve_certify_undecided_smoothness(self, monkeypatch, capsys):
+        monkeypatch.setattr(curves, "certify_smooth_projective",
+                            lambda f: (None, {"steps": []}))
+        assert main(["curve", "certify", "c82_quartic"]) == 0
+        out = capsys.readouterr().out
+        assert "smooth: unresolved" in out
+        assert "overall: unresolved" in out
 
     def test_curve_pullback(self, capsys):
         assert main(["curve", "pullback", "--vars", "u,v", "-n", "2",

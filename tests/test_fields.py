@@ -108,7 +108,23 @@ def test_unrelated_towers_do_not_meet():
     with pytest.raises(FieldError):
         common_field(A.gen(), B)
     assert A.gen() != B.gen()
-    assert not (A.one() == B.one())
+    assert A.gen() + 1 != B.gen() + 1
+
+
+def test_equality_across_towers_is_transitive():
+    # rational constants meet in Q, whichever tower they are written in
+    A = field_create([Fraction(-2), 0, 1], varname="a")
+    B = field_create([Fraction(-3), 0, 1], varname="b")
+    assert A.one() == B.one()
+    assert len({1, A.one(), B.one()}) == len({A.one(), B.one(), 1}) == 1
+    # two extensions of one base meet in that base
+    E = make_K()
+    e = E.gen()
+    P = NumberField("p", [-2, 0, 1], E)
+    Q = NumberField("q", [-3, 0, 1], E)
+    assert P.coerce(e) == Q.coerce(e)
+    assert P.coerce(e) != Q.coerce(e + 1)
+    assert len({P.coerce(e), Q.coerce(e), e}) == 1
 
 
 def test_hash_agrees_with_equality():
@@ -170,6 +186,16 @@ def test_bad_automorphism_rejected():
     z = K1.gen()
     with pytest.raises(FieldError):
         FieldAutomorphism(K1, [K1.coerce(K.gen()), z + 1])
+
+
+def test_automorphism_must_map_minimal_polynomials():
+    # b^2 = a, so sigma(b)^2 must be sigma(a) = -a: b does not qualify
+    K = field_create([Fraction(-2), 0, 1], varname="a")
+    K1 = NumberField("b", [-K.gen(), 0, 1], K)
+    a, b = K1.coerce(K.gen()), K1.gen()
+    with pytest.raises(FieldError):
+        FieldAutomorphism(K1, [-a, b])
+    assert FieldAutomorphism(K1, [a, -b]).order() == 2
 
 
 # -- Sturm counting ----------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from exactcurves import factoring
+from exactcurves import factoring, singular
 from exactcurves.fields import NumberField, QQ
 from exactcurves.multipoly import MultiPoly, parse_poly
 from exactcurves.singular import (
@@ -332,6 +332,95 @@ def test_smooth_quartic_model():
 def test_fermat_quartic_smooth():
     ok, _ = certify_smooth_projective(parse_poly("x^4 + y^4 + z^4", XYZ))
     assert ok
+
+
+@pytest.mark.parametrize("text", ["x^2*(y + z)", "(x - y + z)^2"])
+def test_degenerate_line_decided_without_retry(text):
+    # double lines: singular everywhere, shown on the line z = 0
+    ok, witness = certify_smooth_projective(parse_poly(text, XYZ))
+    assert ok is False
+    assert "z = 0" in witness["steps"][-1]
+
+
+def test_zero_resultant_means_reducible():
+    ok, witness = certify_smooth_projective(
+        parse_poly("(x^2 + y^2 - z^2)*(x - 2*z)", XYZ))
+    assert ok is False
+    assert "reducible" in witness["steps"][-1]
+
+
+QUARTIC_SINGULAR_OVER_SQRT2 = "(y^2 - 2*z^2)^2 + x^2*z^2 + x^4"
+
+
+def test_singular_point_in_adjoined_root():
+    ok, witness = certify_smooth_projective(
+        parse_poly(QUARTIC_SINGULAR_OVER_SQRT2, XYZ))
+    assert ok is False
+    assert "common zero" in witness["steps"][-1]
+
+
+def test_candidate_beyond_extensions_is_unresolved(monkeypatch):
+    monkeypatch.setattr(singular, "_adjoinable", lambda part, field: False)
+    ok, witness = certify_smooth_projective(
+        parse_poly(QUARTIC_SINGULAR_OVER_SQRT2, XYZ))
+    assert ok is None
+    assert "inconclusive" in witness["steps"][-1]
+
+
+def test_line_is_smooth():
+    ok, _ = certify_smooth_projective(parse_poly("y", XYZ))
+    assert ok is True
+
+
+# -- differential suite: smoothness against sympy Groebner bases -------------
+
+def _random_form(rng, d):
+    while True:
+        f = MultiPoly(XYZ, {(i, j, d - i - j): rng.randint(-3, 3)
+                            for i in range(d + 1) for j in range(d + 1 - i)
+                            if rng.random() < 0.8})
+        if f:
+            return f
+
+
+def _smoothness_case(seed):
+    """A random form of degree 2-4, a line times a form, or a form with a
+    planted singular point (a:b:1)."""
+    rng = random.Random(70_000 + seed)
+    if seed % 3 == 0:
+        return _random_form(rng, rng.randint(2, 4))
+    if seed % 3 == 1:
+        return _random_form(rng, 1) * _random_form(rng, rng.randint(1, 3))
+    d = rng.randint(2, 4)
+    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+    # only terms of degree >= 2 in x, y: singular at (0:0:1)
+    g = MultiPoly(XYZ, {e: c for e, c in _random_form(rng, d).terms.items()
+                        if e[0] + e[1] >= 2} or {(d, 0, 0): 1})
+    X, Y, Z = (MultiPoly.var(XYZ, n) for n in XYZ)
+    return g.substitute({"x": X - a * Z, "y": Y - b * Z})
+
+
+def _smooth_by_groebner(f):
+    """Oracle: no chart x_i = 1 has a common zero of the partials."""
+    import sympy
+    X = sympy.symbols(XYZ)
+    F = sum(sympy.Rational(c.numerator, c.denominator)
+            * X[0] ** e[0] * X[1] ** e[1] * X[2] ** e[2]
+            for e, c in f.terms.items())
+    partials = [sympy.diff(F, v) for v in X]
+    for i in range(3):
+        eqs = [q for q in (p.subs(X[i], 1) for p in partials) if q != 0]
+        rest = [v for k, v in enumerate(X) if k != i]
+        if not eqs or list(sympy.groebner(eqs, *rest).exprs) != [1]:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_smoothness_matches_groebner(seed):
+    f = _smoothness_case(seed)
+    ok, _ = certify_smooth_projective(f)
+    assert ok is _smooth_by_groebner(f)
 
 
 # -- property suite: certificate invariance under linear changes -------------
