@@ -168,7 +168,8 @@ def _norm(g, K):
     base = K.base
     T = ("t",)
     A = [MultiPoly.const(T, c, base) for c in K.minpoly]
-    B = [MultiPoly.from_univariate([x.coords[j] for x in g], T, "t", base)
+    coords = [x.coords for x in g]
+    B = [MultiPoly.from_univariate([c[j] for c in coords], T, "t", base)
          for j in range(K.degree)]
     res = resultant_univ(A, up_trim(B))
     return res.univariate_coeffs("t")

@@ -2,18 +2,31 @@
 
 Supported domains: Q and short towers of number fields (at most three
 extensions, e.g. Q -> Q[eta] -> Q[eta][zeta] -> one further bounded
-extension), each level Q[a]/(p) given by a monic minimal
-polynomial.  Elements are coordinate vectors in the
-power basis 1, a, a^2, ...  All arithmetic is exact; no value is ever
-represented in floating point.  Gcds, roots and square roots come from
-`factoring` (`poly_gcd`, and the exact factorizer: Zassenhaus over Q,
-Trager's norm method over towers).
+extension), each level Q[a]/(p) given by a monic minimal polynomial.
+All arithmetic is exact; no value is ever represented in floating point.
+
+An element of a tower is flat: one tuple of ints `num` and one positive
+denominator `den`, in the product power basis of the whole tower.  With
+levels eta, zeta, w of degrees d1, d2, d3, the basis element
+eta^i * zeta^j * w^k sits at index i + d1*(j + d2*k), so an element of a
+lower level keeps its vector, padded with zeros.  Elements are normalised
+(gcd(den, *num) = 1), so equality and hashing compare tuples.  A product
+is one integer convolution followed by one reduction table per field,
+built when the field is created.  The tower stays as metadata (`name`,
+`base`, `minpoly`, `degree`, `tower`, `common_field`), and `coords` is
+a read-only view: the coordinates over the base field in the power basis
+1, a, a^2, ..., Fractions over Q and base-field elements above, sliced
+from `num`.  Printing, `element_to_doc` and automorphisms read that view.
+
+Gcds, roots and square roots come from `factoring` (`poly_gcd`, and the
+exact factorizer: Zassenhaus over Q, Trager's norm method over towers).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
+from math import gcd, lcm
 from typing import Sequence
 
 
@@ -134,6 +147,11 @@ class RationalField:
     degree = 1
     base = None
     name = "Q"
+    # the flat-basis tables of the empty tower, which NumberField extends
+    _size = 1
+    _width = 1
+    _spread = (0,)
+    _monomials = (((1,), 1),)
 
     def zero(self):
         return Fraction(0)
@@ -148,9 +166,9 @@ class RationalField:
             return Fraction(x)
         if isinstance(x, FieldElement):
             # constant elements drop down
-            c = x.as_base_constant()
-            if c is not None:
-                return self.coerce(c)
+            c = _lowest(x)
+            if isinstance(c, Fraction):
+                return c
         raise FieldError(f"cannot coerce {x!r} into Q")
 
     def depth(self):
@@ -168,11 +186,18 @@ QQ = RationalField()
 
 class NumberField:
     """Q[a]/(p(a)) over a base field: Q or a tower of at most two
-    extensions, so that towers reach at most three extensions over Q."""
+    extensions, so that towers reach at most three extensions over Q.
+
+    One table, built here, reduces every product.  Two flat vectors
+    (see FieldElement) multiply first in the expanded basis, where the
+    exponent of each level runs up to 2*d - 2; `_spread` gives the expanded
+    index of each flat index, and `_rows` maps each expanded monomial
+    outside the basis to its reduced integer vector over the common
+    denominator `_den`.
+    """
 
     def __init__(self, varname: str, minpoly: Sequence, base=QQ):
-        base_depth = base.depth()
-        if base_depth >= 3:
+        if base.depth() >= 3:
             raise FieldError("tower depth exceeded (at most 3 extensions "
                              "over Q)")
         if varname in (f.name for f in tower(base)):
@@ -186,67 +211,127 @@ class NumberField:
         self.name = varname
         self.base = base
         self.minpoly = mp
-        self.degree = len(mp) - 1
-        # reduction table: a^d, ..., a^(2d-2) as coordinate vectors
-        d = self.degree
-        self._red = []
-        cur = [-c for c in mp[:-1]]  # a^d
-        for _ in range(d - 1):
-            self._red.append(list(cur))
-            shifted = [base.zero()] + cur
-            top = shifted[d] if len(shifted) > d else base.zero()
-            cur = [shifted[i] + top * (-mp[i]) for i in range(d)]
+        self.degree = d = len(mp) - 1
+        self._below = tuple(tower(base))
+        self._size = base._size * d
+        width = base._width
+        self._width = width * (2 * d - 1)
+        # a sum of two exponents of a level stays below 2*d - 1, so the
+        # expanded indices of two basis elements add without carry
+        self._spread = tuple(s + width * k for k in range(d)
+                             for s in base._spread)
+        # every expanded monomial (base monomial times a^k, k <= 2d - 2),
+        # with a^k over the base from a^d = -(mp[0] + ... + mp[d-1] a^(d-1))
+        power = [base.one()] + [base.zero()] * (d - 1)
+        below = [_raw(base, n, q) if isinstance(base, NumberField)
+                 else Fraction(n[0], q) for n, q in base._monomials]
+        monomials = []
+        for _k in range(2 * d - 1):
+            monomials += [self.element([m * c for c in power]) for m in below]
+            top = power[-1]
+            power = [(power[i - 1] if i else base.zero()) - top * mp[i]
+                     for i in range(d)]
+        # kept as (num, den): elements of this field held here would make
+        # reference cycles, which only the cyclic collector frees
+        self._monomials = [(m.num, m.den) for m in monomials]
+        basis = set(self._spread)
+        over = [(e, m) for e, m in enumerate(monomials) if e not in basis]
+        self._den = lcm(*(m.den for _e, m in over))
+        self._rows = [(e, tuple((i, c * (self._den // m.den))
+                                for i, c in enumerate(m.num) if c))
+                      for e, m in over]
 
     def depth(self):
-        return self.base.depth() + 1
+        return len(self._below) + 1
 
     def total_degree(self):
-        return self.degree * self.base.total_degree()
+        return self._size
 
     def zero(self):
-        return FieldElement(self, [self.base.zero()] * self.degree)
+        return _raw(self, (0,) * self._size, 1)
 
     def one(self):
-        coords = [self.base.zero()] * self.degree
-        coords[0] = self.base.one()
-        return FieldElement(self, coords)
+        return _raw(self, (1,) + (0,) * (self._size - 1), 1)
 
     def gen(self):
         if self.degree == 1:
             # degree-1 "extension": generator is the root itself
-            return FieldElement(self, [-self.minpoly[0]])
-        coords = [self.base.zero()] * self.degree
-        coords[1] = self.base.one()
-        return FieldElement(self, coords)
+            return self.coerce(-self.minpoly[0])
+        n = self.base._size
+        return _raw(self, (0,) * n + (1,) + (0,) * (self._size - n - 1), 1)
 
     def element(self, coords):
-        coords = list(coords)
+        """The element with these coordinates over the base field."""
+        coords = [self.base.coerce(c) for c in coords]
         if len(coords) != self.degree:
             raise FieldError(
                 f"expected {self.degree} coordinates, got {len(coords)}")
-        return FieldElement(self, [self.base.coerce(c) for c in coords])
+        parts = [(c.num, c.den) if isinstance(c, FieldElement)
+                 else ((c.numerator,), c.denominator) for c in coords]
+        den = lcm(*(q for _n, q in parts))
+        return FieldElement(self, [a * (den // q) for n, q in parts
+                                   for a in n], den)
 
     def coerce(self, x):
-        """x itself when it lies in this field, else x embedded from the
-        base field (so elements of every lower level of the tower, and
-        rational constants of any field, come in)."""
-        if isinstance(x, FieldElement) and x.field is self:
-            return x
-        coords = [self.base.coerce(x)] + [self.base.zero()] * (self.degree - 1)
-        return FieldElement(self, coords)
+        """x as an element of this field: its own elements, rationals, and
+        elements of any field whose value lies in a level of this tower
+        (lower levels embed by zero padding, deeper ones drop their zero
+        trailing blocks)."""
+        if isinstance(x, FieldElement):
+            if x.field is self:
+                return x
+            if x.field not in self._below:
+                # deeper or unrelated: its value may still lie in this tower
+                x = _lowest(x)
+        if isinstance(x, FieldElement):
+            if x.field is self or x.field in self._below:
+                return _raw(self, x.num + (0,) * (self._size - len(x.num)),
+                            x.den)
+        elif isinstance(x, (int, Fraction)):
+            return _raw(self, (x.numerator,) + (0,) * (self._size - 1),
+                        x.denominator)
+        raise FieldError(f"cannot coerce {x!r} into {self.name}")
 
     def __repr__(self):
         return f"NumberField({self.name}, deg {self.degree} over {self.base!r})"
 
 
 class FieldElement:
-    """Element of a NumberField as a power-basis coordinate vector."""
+    """Element of a NumberField: one integer vector `num` over one
+    denominator `den`, in the power basis of the whole tower.
 
-    __slots__ = ("field", "coords")
+    With levels a1, ..., aL of degrees d1, ..., dL (a1 over Q), the basis
+    element a1^i1 * ... * aL^iL sits at index i1 + d1*(i2 + d2*(i3 + ...)),
+    so an element of a lower level has the same vector padded with zeros.
+    Every element is normalised: den > 0 and gcd(den, *num) = 1, so equal
+    values of one field have equal (num, den).  `coords` is the power-basis
+    view over the base field, sliced from `num`.
+    """
 
-    def __init__(self, field: NumberField, coords):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num, den=1):
+        if den != 1:
+            g = gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
         self.field = field
-        self.coords = tuple(coords)
+        self.num = tuple(num)
+        self.den = den
+
+    @property
+    def coords(self):
+        """The coordinates over the base field: Fractions over Q, else
+        elements of the base."""
+        base, num, den = self.field.base, self.num, self.den
+        if isinstance(base, RationalField):
+            return tuple([Fraction(c, den) for c in num])
+        n = base._size
+        return tuple([FieldElement(base, num[i:i + n], den)
+                      for i in range(0, len(num), n)])
 
     # -- helpers -----------------------------------------------------------
     def _pair(self, other):
@@ -262,9 +347,10 @@ class FieldElement:
         return None
 
     def as_base_constant(self):
-        if all(not c for c in self.coords[1:]):
-            return self.coords[0]
-        return None
+        """The value in the base field, or None when it lies outside."""
+        if any(self.num[self.field.base._size:]):
+            return None
+        return self.field.base.coerce(self)
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
@@ -272,58 +358,58 @@ class FieldElement:
         if pair is None:
             return NotImplemented
         x, y = pair
-        return FieldElement(x.field,
-                            [a + b for a, b in zip(x.coords, y.coords)])
+        return _combine(x, y, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coords])
+        return _raw(self.field, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         x, y = pair
-        return FieldElement(x.field,
-                            [a - b for a, b in zip(x.coords, y.coords)])
+        return _combine(x, y, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FieldElement(self.field,
+                                [c * other.numerator for c in self.num],
+                                self.den * other.denominator)
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         x, y = pair
         f = x.field
-        d = f.degree
-        zero = f.base.zero()
-        prod = [zero] * (2 * d - 1)
-        for i, a in enumerate(x.coords):
-            if not a:
-                continue
-            for j, b in enumerate(y.coords):
-                if b:
-                    prod[i + j] = prod[i + j] + a * b
-        out = list(prod[:d])
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
-            if not c:
-                continue
-            red = f._red[k - d]
-            for i in range(d):
-                out[i] = out[i] + c * red[i]
-        return FieldElement(f, out)
+        spread = f._spread
+        prod = [0] * f._width
+        ys = [(b, v) for b, v in zip(spread, y.num) if v]
+        for a, u in zip(spread, x.num):
+            if u:
+                for b, v in ys:
+                    prod[a + b] += u * v
+        out, scale = _reduced(f, prod)
+        return FieldElement(f, out, x.den * y.den * scale)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Extended Euclid on (minpoly, coords), keeping only the cofactor
-        of the element: t*x = r (mod minpoly) throughout."""
+        """A value of a lower level is inverted there.  Over Q the
+        multiplication matrix is solved over Z (`_inverse_over_q`); over a
+        number field, extended Euclid on (minpoly, coords) keeps only the
+        cofactor of the element: t*x = r (mod minpoly) throughout."""
         if not self:
             raise ZeroDivisionError("field element is zero")
         f = self.field
+        low = _lowest(self)
+        if low is not self:
+            return f.coerce(1 / low)
+        if isinstance(f.base, RationalField):
+            return _inverse_over_q(self)
         r0, r1 = f.minpoly, up_trim(self.coords)
         t0, t1 = [], [f.base.one()]
         while up_deg(r1) > 0:
@@ -334,8 +420,7 @@ class FieldElement:
             raise FieldError("minimal polynomial not irreducible: "
                              "zero divisor encountered")
         coords = up_scale(t1, 1 / r1[0])
-        coords += [f.base.zero()] * (f.degree - len(coords))
-        return FieldElement(f, coords)
+        return f.element(coords + [f.base.zero()] * (f.degree - len(coords)))
 
     def __truediv__(self, other):
         pair = self._pair(other)
@@ -361,9 +446,11 @@ class FieldElement:
 
     # -- comparisons -------------------------------------------------------
     def __bool__(self):
-        return any(bool(c) for c in self.coords)
+        return any(self.num)
 
     def __eq__(self, other):
+        if isinstance(other, FieldElement) and other.field is self.field:
+            return self.num == other.num and self.den == other.den
         try:
             pair = self._pair(other)
         except FieldError:
@@ -374,13 +461,13 @@ class FieldElement:
         if pair is None:
             return NotImplemented
         x, y = pair
-        return x.coords == y.coords
+        return x.num == y.num and x.den == y.den
 
     def __hash__(self):
         # equal values of different tower levels hash alike
         x = _lowest(self)
         if isinstance(x, FieldElement):
-            return hash((id(x.field), x.coords))
+            return hash((id(x.field), x.num, x.den))
         return hash(x)
 
     def __repr__(self):
@@ -398,20 +485,97 @@ class FieldElement:
         return " + ".join(terms) if terms else "0"
 
 
-def _lowest(x):
-    """x taken down its tower while it is a constant of the level below."""
-    while isinstance(x, FieldElement) and x.as_base_constant() is not None:
-        x = x.as_base_constant()
+def _raw(field, num, den):
+    """The FieldElement of a tuple `num` and `den` already normalised."""
+    x = object.__new__(FieldElement)
+    x.field, x.num, x.den = field, num, den
     return x
+
+
+def _reduced(f, prod):
+    """The flat vector of the expanded vector `prod` of field f, times the
+    factor it carries: f._den when a table row was used, else 1."""
+    over = [(prod[e], row) for e, row in f._rows if prod[e]]
+    scale = f._den if over else 1
+    out = [prod[a] * scale for a in f._spread]
+    for c, row in over:
+        for i, r in row:
+            out[i] += c * r
+    return out, scale
+
+
+def _inverse_over_q(x):
+    """x^-1 for x in a field over Q, without fractions.
+
+    x.num times a flat vector v is (M v) / f._den for the integer
+    multiplication matrix M of x.num, so x^-1 is x.den * v for the v with
+    M v = f._den * e_0.  Bareiss's fraction-free elimination leaves the
+    determinant as the last pivot, and back substitution gives the integer
+    vector det * v (Cramer's rule), every division exact."""
+    f = x.field
+    n, den = f._size, f._den
+    cols = []
+    for s in f._spread:
+        prod = [0] * f._width
+        for a, u in zip(f._spread, x.num):
+            prod[a + s] = u
+        out, scale = _reduced(f, prod)
+        cols.append([c * (den // scale) for c in out])
+    rows = [[col[i] for col in cols] + [den * (i == 0)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            raise FieldError("minimal polynomial not irreducible: "
+                             "zero divisor encountered")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        for row in rows[k + 1:]:
+            c = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (pivot[k] * row[j] - c * pivot[j]) // prev
+        prev = pivot[k]
+    y = [0] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        y[i] = (prev * row[n] - sum(row[j] * y[j]
+                                    for j in range(i + 1, n))) // row[i]
+    return FieldElement(f, [c * x.den for c in y], prev)
+
+
+def _combine(x, y, sign):
+    """x + sign*y for elements of one field, over the lcm of their
+    denominators."""
+    p, q = x.den, y.den
+    if p == q:
+        return FieldElement(x.field, [a + sign * b
+                                      for a, b in zip(x.num, y.num)], p)
+    g = gcd(p, q)
+    s, t = q // g, sign * (p // g)
+    return FieldElement(x.field, [a * s + b * t
+                                  for a, b in zip(x.num, y.num)], p * s)
+
+
+def _lowest(x):
+    """x as an element of the lowest level of its tower that holds it: a
+    Fraction when it is rational."""
+    if not isinstance(x, FieldElement):
+        return x
+    num = x.num
+    n = len(num)
+    while n > 1 and not num[n - 1]:
+        n -= 1
+    if n == 1:
+        return Fraction(num[0], x.den)
+    level = next(f for f in tower(x.field) if f._size >= n)
+    return x if level is x.field else _raw(level, num[:level._size], x.den)
 
 
 def tower(field):
     """The extension levels of `field`, the one over Q first (none for Q)."""
-    levels = []
-    while isinstance(field, NumberField):
-        levels.append(field)
-        field = field.base
-    return levels[::-1]
+    if isinstance(field, RationalField):
+        return []
+    return [*field._below, field]
 
 
 def common_field(*items):

@@ -34,8 +34,7 @@ class MultiPoly:
             expo = tuple(int(e) for e in expo)
             if len(expo) != n:
                 raise PolyError("exponent vector length mismatch")
-            if not isinstance(c, FieldElement):
-                c = field.coerce(c)
+            c = field.coerce(c)
             if c:
                 clean[expo] = clean.get(expo, field.zero()) + c
                 if not clean[expo]:

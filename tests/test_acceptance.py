@@ -232,6 +232,8 @@ def test_base_field_polynomial_has_two_real_roots():
 # The full suites live beside the modules they test and run in the same
 # CI session as this file:
 #   - field axioms                  tests/test_fields.py      (100 cases)
+#   - tower arithmetic against sympy
+#                                   tests/test_fields.py      (100 cases)
 #   - resultant oracle/multiplicativity/sign
 #                                   tests/test_multipoly.py   (100 each)
 #   - SNF round trip + shuffles     tests/test_groups.py      (120 + 100)
@@ -249,7 +251,8 @@ def test_property_suites_present_with_100_cases():
     import re
     here = Path(__file__).parent
     required = {
-        "test_fields.py": [("test_field_axioms_random", 100)],
+        "test_fields.py": [("test_field_axioms_random", 100),
+                           ("test_tower_arithmetic_matches_sympy", 100)],
         "test_multipoly.py": [
             ("test_resultant_matches_sylvester_oracle", 100),
             ("test_resultant_multiplicative", 100),

@@ -85,6 +85,20 @@ def test_coercion_through_the_whole_tower():
     assert QQ.coerce(K2.coerce(Fraction(3, 4))) == Fraction(3, 4)
 
 
+def test_coerce_takes_a_deeper_element_down():
+    # a value of K written in K1 = K(b) comes back into K
+    K = field_create([Fraction(-2), 0, 1], varname="a")
+    K1 = NumberField("b", [K.coerce(-3), K.zero(), K.one()], K)
+    a = K.gen()
+    x = K.coerce(K1.coerce(a))
+    assert x == a and x.field is K
+    assert K.coerce(K1.coerce(a) * 3 + 1).num == (1, 3)
+    with pytest.raises(FieldError):
+        K.coerce(K1.gen())
+    with pytest.raises(FieldError):
+        K.coerce(K1.gen() * a)
+
+
 def test_tower_lists_levels_from_q_up():
     K, K1 = make_K1()
     assert tower(K1) == [K, K1]
@@ -393,3 +407,89 @@ def test_up_gcd_is_common_divisor():
         d = poly_gcd(p, q, K)
         assert not up_divmod(p, d)[1]
         assert not up_divmod(q, d)[1]
+
+
+# -- differential suite against sympy: tower arithmetic (100 cases) ----------
+
+# The minimal polynomial w^2 + c1*w + c0 over Q(eta, zeta) of the octic's
+# adjoined root w1 (coordinates over Q(eta), each over Q).
+W1_MINPOLY = [
+    [["-304793237/374557184", "-109647147/46819648",
+      "-378581907/374557184", "98164307/93639296"],
+     ["118766195/93639296", "62847771/93639296",
+      "-204430311/93639296", "69343137/93639296"]],
+    [["-7239697/5852456", "-18551511/55598332",
+      "283992083/111196664", "-54624491/55598332"],
+     ["-709728/731557", "-13496117/13899583",
+      "15376398/13899583", "-2798769/13899583"]],
+    [["1", "0", "0", "0"], ["0", "0", "0", "0"]]]
+
+
+def make_K2():
+    K, K1 = make_K1()
+    K2 = NumberField("w1", [element_from_doc(K1, c) for c in W1_MINPOLY], K1)
+    return K, K1, K2
+
+
+def _sparse_element(field, rng):
+    """A random element with some zero coordinates at every level."""
+    if not isinstance(field, NumberField):
+        return Fraction(rng.randint(-30, 30) * (rng.random() < 0.8),
+                        rng.randint(1, 12))
+    return field.element([_sparse_element(field.base, rng)
+                          for _ in range(field.degree)])
+
+
+def _sympy_tower(field):
+    """sympy's QQ[levels] in lex order, top level first, the map of values
+    into it, and the minimal polynomials of the levels.  Their leading
+    monomials are powers of distinct generators, so they form a Groebner
+    basis, and the remainder by them is the reduced form."""
+    import sympy
+    from sympy.polys.orderings import lex
+    from sympy.polys.rings import ring
+    levels = tower(field)[::-1]
+    R, *gens = ring(",".join(f.name for f in levels), sympy.QQ, lex)
+    gen = {f.name: g for f, g in zip(levels, gens)}
+
+    def image(x):
+        if isinstance(x, (int, Fraction)):
+            return R(sympy.QQ(x.numerator, x.denominator))
+        return sum((image(c) * gen[x.field.name] ** i
+                    for i, c in enumerate(x.coords)), R.zero)
+
+    minpolys = [sum((image(c) * gen[f.name] ** i
+                     for i, c in enumerate(f.minpoly)), R.zero)
+                for f in levels]
+    return image, minpolys
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_tower_arithmetic_matches_sympy(seed):
+    rng = random.Random(30_000 + seed)
+    fields = make_K2()
+    F = fields[seed % 3]
+    image, minpolys = _sympy_tower(F)
+    x = _sparse_element(F, rng)
+    # the second operand may live one level lower: mixed-level arithmetic
+    y = _sparse_element(fields[max(seed % 3 - seed // 3 % 2, 0)], rng)
+    xs, ys = image(x), image(y)
+
+    def same(p, ours):
+        return p.rem(minpolys) == image(ours)
+
+    assert same(xs * ys, x * y)
+    n = rng.randint(2, 5)
+    assert same(xs ** n, x ** n)
+    if y:
+        # the inverse, the quotient and a negative power are what sympy
+        # multiplies back
+        assert same(image(y.inverse()) * ys, 1)
+        assert same(image(x / y) * ys, x)
+        assert same(image(y ** -2) * ys ** 2, 1)
+    # flat elements: hash agrees with equality across levels
+    for z in (x, y):
+        up = fields[2].coerce(z)
+        assert up == z and hash(up) == hash(z)
+        assert F.coerce(up) == z
+    assert F.one() == 1 and hash(F.one()) == hash(1) == hash(fields[0].one())

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from exactcurves.factoring import poly_gcd
-from exactcurves.fields import QQ, NumberField, field_create, up_derivative
+from exactcurves.fields import (QQ, FieldError, NumberField, field_create,
+                                up_derivative)
 from exactcurves.multipoly import (
     MultiPoly, PolyError, exact_div, factor_bounded, parse_poly,
     poly_from_sparse, poly_gcd_univ, poly_to_sparse, resultant,
@@ -167,6 +168,20 @@ def test_hash_agrees_with_equality():
     assert p == p.to_field(K1) and len({p, p.to_field(K1)}) == 1
     assert len({parse_poly("x + 1", ("x",)),
                 parse_poly("x + 1", ("x",), K)}) == 1
+
+
+def test_coefficients_are_coerced_into_the_field():
+    # an element of a deeper field is no coefficient of a K polynomial
+    # unless its value lies in K
+    K = field_create([Fraction(-2), 0, 1], varname="a")
+    K1 = NumberField("b", [K.coerce(-3), K.zero(), K.one()], K)
+    with pytest.raises(FieldError):
+        MultiPoly(("x",), {(1,): K1.gen()}, K)
+    p = MultiPoly(("x",), {(1,): K1.coerce(K.gen())}, K)
+    assert p.terms[(1,)].field is K
+    B = field_create([Fraction(-5), 0, 1], varname="c")
+    with pytest.raises(FieldError):
+        MultiPoly(("x",), {(1,): B.gen()}, K)
 
 
 # -- gcd / squarefree --------------------------------------------------------
