@@ -13,10 +13,9 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .curves import (appendix_b_mappings, appendix_b_singularity_check,
-                     assemble_appendix_b, c82_singular_system,
-                     certify_curve_spec, conjoin, corpus_get,
-                     kummer_pullback)
+from .curves import (appendix_b_mappings, assemble_appendix_b,
+                     c82_singular_system, certify_curve_spec, conjoin,
+                     corpus_get, kummer_pullback)
 from .elim import make_root, solve_system
 from .fields import sturm_real_roots
 from .groups import (CORPUS, ORB22_TO_Z2Z2, abelianization, count_homs,
@@ -242,18 +241,12 @@ def _check_octic_family_assembly():
 
 
 def _check_octic_family_singularities():
-    details = {}
-    status = "pass"
+    details, held = {}, []
     for label, rep, structural in _assembled_octic_family():
-        if not structural:
-            status = "fail"
-        sing = appendix_b_singularity_check(rep)
-        if sing["status"] != "pass" and status == "pass":
-            status = "unresolved"
-        details[label] = _plain(dict(rep["checks"],
-                                     singularity_status=sing["status"],
-                                     singularity_points=sing["points"]))
-    return status, details
+        spec = certify_curve_spec(rep["record"])
+        held += [structural, spec["ok"]]
+        details[label] = _plain(dict(rep["checks"], singularities=spec))
+    return _STATUS[conjoin(*held)], details
 
 
 def _check_quartic_smoothness():
@@ -364,11 +357,11 @@ class VerificationManifest:
     def to_doc(self):
         return {"checks": self.entries}
 
-    def render(self, include_runtime=True) -> str:
+    def render(self) -> str:
         lines = []
         for e in self.entries:
             line = f"{e['status'].upper():10s} {e['id']}"
-            if include_runtime and "runtime_s" in e:
+            if "runtime_s" in e:
                 line += f"  ({e['runtime_s']:.2f}s)"
             lines.append(line)
         counts = {}

@@ -78,10 +78,31 @@ def _cmd_poly(args):
 # curve
 # ---------------------------------------------------------------------------
 
+def _print_curve_report(rep, indent=""):
+    """Console lines for a `certify_curve_spec` report."""
+    for p in rep["points"]:
+        mark = {True: "ok", None: "unresolved"}.get(p["ok"], "MISMATCH")
+        contacts = (f" contacts={tuple(p['contacts'])}"
+                    if "contacts" in p else "")
+        print(f"{indent}point {p['coords']}: expected {p['expected']}, "
+              f"got {p['verdict']}{contacts}  [{mark}]")
+    for a in rep["automorphisms"]:
+        print(f"{indent}automorphism {a['name']}: "
+              f"invariant={a['invariant']}  "
+              f"[{'ok' if a['ok'] else 'MISMATCH'}]")
+    if "smooth" in rep:
+        print(f"{indent}smooth:", {None: "unresolved"}.get(rep["smooth"],
+                                                           rep["smooth"]))
+    if "cusp_tangents_concurrent" in rep:
+        print(f"{indent}cusp tangents concurrent:",
+              rep["cusp_tangents_concurrent"])
+    print(f"{indent}overall:",
+          {True: "ok", None: "unresolved"}.get(rep["ok"], "FAILED"))
+
+
 def _cmd_curve(args):
-    from .curves import (appendix_b_mappings, appendix_b_singularity_check,
-                         assemble_appendix_b, certify_curve_spec,
-                         corpus_get, kummer_pullback)
+    from .curves import (appendix_b_mappings, assemble_appendix_b,
+                         certify_curve_spec, corpus_get, kummer_pullback)
     from .multipoly import parse_poly
     if args.curve_cmd == "list":
         import json as _json
@@ -91,21 +112,7 @@ def _cmd_curve(args):
         return 0
     if args.curve_cmd == "certify":
         rep = certify_curve_spec(corpus_get(args.name))
-        for p in rep["points"]:
-            mark = {True: "ok", None: "unresolved"}.get(p["ok"], "MISMATCH")
-            print(f"point {p['coords']}: expected {p['expected']}, "
-                  f"got {p['verdict']}  [{mark}]")
-        for a in rep["automorphisms"]:
-            print(f"automorphism {a['name']}: invariant={a['invariant']}  "
-                  f"[{'ok' if a['ok'] else 'MISMATCH'}]")
-        if "smooth" in rep:
-            print("smooth:", {None: "unresolved"}.get(rep["smooth"],
-                                                       rep["smooth"]))
-        if "cusp_tangents_concurrent" in rep:
-            print("cusp tangents concurrent:",
-                  rep["cusp_tangents_concurrent"])
-        print("overall:",
-              {True: "ok", None: "unresolved"}.get(rep["ok"], "FAILED"))
+        _print_curve_report(rep)
         _write_report(args, rep)
         return 1 if rep["ok"] is False else 0
     if args.curve_cmd == "pullback":
@@ -128,14 +135,10 @@ def _cmd_curve(args):
             for k, v in rep["checks"].items():
                 print(f"  {k}: {v}")
             entry = {k: v for k, v in rep["checks"].items()}
-            sing = appendix_b_singularity_check(rep)
-            print(f"  singularity check: {sing['status']}")
-            for tag, e in sing["points"].items():
-                print(f"    {tag}: {e['verdict']}"
-                      + (f" contacts={e.get('contacts')}"
-                         if e.get("contacts") else ""))
-            entry["singularities"] = sing
-            if sing["status"] != "pass":
+            spec = certify_curve_spec(rep["record"])
+            _print_curve_report(spec, indent="  ")
+            entry["singularities"] = spec
+            if spec["ok"] is not True:
                 exit_code = 1
             if not all(v for k, v in entry.items()
                        if isinstance(v, bool)):

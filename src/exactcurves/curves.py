@@ -68,11 +68,7 @@ def corpus_get(name: str) -> CurveRecord:
     entry = data[name]
     field = field_from_doc(entry["field"]) if entry["field"] else QQ
     poly = parse_poly(entry["poly"], tuple(entry["vars"]), field)
-    pts = []
-    for p in entry.get("singular_points", []):
-        coords = tuple(parse_constant(c, field) if not _is_rational(c)
-                       else Fraction(c) for c in p["coords"])
-        pts.append((coords, p["type"]))
+    pts = _declared_points(entry.get("singular_points", []), field)
     autos = []
     for a in entry.get("automorphisms", []):
         M = [[parse_constant(c, field) if not _is_rational(c)
@@ -87,6 +83,13 @@ def corpus_get(name: str) -> CurveRecord:
                       extra_points=extra)
     _CORPUS_CACHE[name] = rec
     return rec
+
+
+def _declared_points(entries, field):
+    """[(coords tuple, type)] from the data files' point entries."""
+    return [(tuple(parse_constant(c, field) if not _is_rational(c)
+                   else Fraction(c) for c in p["coords"]), p["type"])
+            for p in entries]
 
 
 def _is_rational(text):
@@ -189,13 +192,12 @@ def _appendix_b_data():
     K = field_from_doc(doc["field"])
     consts = {k: fl.element_from_doc(K, v)
               for k, v in doc["constants"].items()}
-    return K, consts, doc["candidate_mappings"]
+    return K, consts, doc
 
 
 def appendix_b_mappings():
     """The candidate resolutions of the ambiguous constant names."""
-    _, _, mappings = _appendix_b_data()
-    return mappings
+    return _appendix_b_data()[2]["candidate_mappings"]
 
 
 def assemble_appendix_b(mapping=None):
@@ -204,9 +206,12 @@ def assemble_appendix_b(mapping=None):
     `mapping` is either a label from the data file's candidate list, a dict
     assigning the missing constant names (r32, r40) to supplied ones, or
     None for the first candidate.  Returns a report dict with the three
-    polynomials and the structural check results.
+    polynomials, F as a `CurveRecord` with its declared singular points
+    ("record", for `certify_curve_spec`), and the structural check
+    results.  Nothing is certified here.
     """
-    K, consts, mappings = _appendix_b_data()
+    K, consts, doc = _appendix_b_data()
+    mappings = doc["candidate_mappings"]
     if mapping is None:
         mapping = mappings[0]
     elif isinstance(mapping, str):
@@ -265,7 +270,9 @@ def assemble_appendix_b(mapping=None):
          + 2 * x * y * zz * (x * plug(F1) + y * plug(F1s))
          + x ** 2 * y ** 2 * (x ** 2 * plug(F2) + y ** 2 * plug(F2s)))
 
-    report = {"mapping": label, "F": F, "checks": {}}
+    record = CurveRecord(f"appendix_b:{label}", F, K1,
+                         _declared_points(doc["singular_points"], K1), [])
+    report = {"mapping": label, "F": F, "record": record, "checks": {}}
     # structural checks
     report["checks"]["F_homogeneous_deg8"] = \
         F.is_homogeneous() and F.degree() == 8
@@ -316,33 +323,6 @@ def _apply_sigma(p: MultiPoly, sigma) -> MultiPoly:
     return out
 
 
-def appendix_b_singularity_check(report):
-    """Composite-type certification of F at [1:0:0] and [0:1:0].
-
-    Returns {"status": "pass" | "unresolved", ...} — never a silent pass.
-    """
-    F = report["F"]
-    out = {"points": {}}
-    status = "pass"
-    for tag, pt in (("[1:0:0]", (1, 0, 0)), ("[0:1:0]", (0, 1, 0))):
-        entry = {}
-        try:
-            germ = projective_germ(F, tuple(Fraction(c) for c in pt))
-            cert = certify_composite(germ)
-            entry["verdict"] = cert.verdict
-            entry["contacts"] = cert.contacts
-            entry["reason"] = cert.reason
-            if cert.verdict != "COMPOSITE_3BRANCH":
-                status = "unresolved"
-        except GermError as exc:
-            entry["verdict"] = "ERROR"
-            entry["reason"] = str(exc)
-            status = "unresolved"
-        out["points"][tag] = entry
-    out["status"] = status
-    return out
-
-
 # ---------------------------------------------------------------------------
 # certification reports
 # ---------------------------------------------------------------------------
@@ -373,6 +353,8 @@ def certify_curve_spec(record: CurveRecord):
                 cert = certify_type(germ, expected)
             entry["verdict"] = cert.verdict
             entry["ok"] = (cert.verdict == expected)
+            if cert.contacts is not None:
+                entry["contacts"] = list(cert.contacts)
             if cert.reason:
                 entry["reason"] = cert.reason
         except UnresolvedGerm as exc:

@@ -16,7 +16,7 @@ built when the field is created.  The tower stays as metadata (`name`,
 `base`, `minpoly`, `degree`, `tower`, `common_field`), and `coords` is
 a read-only view: the coordinates over the base field in the power basis
 1, a, a^2, ..., Fractions over Q and base-field elements above, sliced
-from `num`.  Printing, `element_to_doc` and automorphisms read that view.
+from `num`.  Printing and automorphisms read that view.
 
 Gcds, roots and square roots come from `factoring` (`poly_gcd`, and the
 exact factorizer: Zassenhaus over Q, Trager's norm method over towers).
@@ -346,12 +346,6 @@ class FieldElement:
             return self, self.field.coerce(other)
         return None
 
-    def as_base_constant(self):
-        """The value in the base field, or None when it lies outside."""
-        if any(self.num[self.field.base._size:]):
-            return None
-        return self.field.base.coerce(self)
-
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
         pair = self._pair(other)
@@ -610,12 +604,6 @@ def fresh_name(field, counter):
 # field construction / automorphisms
 # ---------------------------------------------------------------------------
 
-def field_create(minpoly: Sequence, base=QQ, varname: str = "a") -> NumberField:
-    """Create Q[varname]/(minpoly) over `base` (Q or a tower of at most two
-    extensions)."""
-    return NumberField(varname, minpoly, base)
-
-
 class FieldAutomorphism:
     """Automorphism of a tower field, given by images of tower generators.
 
@@ -669,7 +657,7 @@ class FieldAutomorphism:
 
 
 # ---------------------------------------------------------------------------
-# structured-document loading / element serialization
+# structured-document loading
 # ---------------------------------------------------------------------------
 
 def field_from_doc(doc) -> NumberField:
@@ -706,13 +694,6 @@ def _poly_text_variable(text: str) -> str:
         raise FieldError(
             f"expected exactly one variable in {text!r}, found {sorted(names)}")
     return names.pop()
-
-
-def element_to_doc(x):
-    """Coordinate-vector serialization: nested lists of rational strings."""
-    if isinstance(x, (int, Fraction)):
-        return str(Fraction(x))
-    return [element_to_doc(c) for c in x.coords]
 
 
 def element_from_doc(field, data):

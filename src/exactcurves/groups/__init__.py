@@ -2,10 +2,9 @@
 abelian invariants, subgroup rewriting, coset enumeration, hom counts."""
 
 from .words import GroupWord, WordError, word
-from .braids import BraidError, BraidWord, artin_act, braid
-from .presentation import (Presentation, PresentationError, free_group,
-                           quotient_by_relations, rename_generators,
-                           zvk_presentation)
+from .braids import BraidError, BraidWord, artin_act
+from .presentation import (Presentation, PresentationError,
+                           quotient_by_relations, zvk_presentation)
 from .burau import G0Error, g0_equal, g0_is_trivial, verify_g0_relations
 from .abelian import (AbelianInvariants, abelianization,
                       abelianization_with_images, smith_normal_form)
@@ -17,9 +16,9 @@ from .corpus import CORPUS, ORB22_TO_Z2Z2, TAU1, TAU2, get
 
 __all__ = [
     "GroupWord", "WordError", "word",
-    "BraidError", "BraidWord", "artin_act", "braid",
-    "Presentation", "PresentationError", "free_group",
-    "quotient_by_relations", "rename_generators", "zvk_presentation",
+    "BraidError", "BraidWord", "artin_act",
+    "Presentation", "PresentationError", "quotient_by_relations",
+    "zvk_presentation",
     "G0Error", "g0_equal", "g0_is_trivial", "verify_g0_relations",
     "AbelianInvariants", "abelianization", "abelianization_with_images",
     "smith_normal_form",

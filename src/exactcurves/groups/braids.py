@@ -73,10 +73,6 @@ class BraidWord:
         return f"BraidWord(n={self.n}, {body})"
 
 
-def braid(n: int, *letters: int) -> BraidWord:
-    return BraidWord(n, letters)
-
-
 def _gen_names(n: int, prefix: str) -> Sequence[str]:
     return [f"{prefix}{i}" for i in range(1, n + 1)]
 

@@ -38,38 +38,22 @@ class Presentation:
         return (f"Presentation(<{', '.join(self.generators)} | "
                 f"{len(self.relators)} relators>)")
 
-    def to_doc(self):
-        return {"generators": list(self.generators),
-                "relators": [r.to_text() for r in self.relators],
-                "notes": self.notes}
-
-    @classmethod
-    def from_doc(cls, doc) -> "Presentation":
-        return cls(doc["generators"],
-                   [word(t) for t in doc["relators"]],
-                   doc.get("notes", ""))
-
-
-def free_group(names: Sequence[str]) -> Presentation:
-    return Presentation(names, [])
-
 
 def zvk_presentation(n: int, lines: Sequence[Tuple[str, BraidWord]],
-                     infinity: bool = False,
-                     infinity_name: str = "linf") -> Presentation:
+                     infinity: bool = False) -> Presentation:
     """Complement presentation from braid monodromy data.
 
     Generators are fiber meridians c1..cn plus one generator per line;
     each line (name, braid) contributes the relations
     l^-1 * c_i * l = artin_act(braid, c_i).  With `infinity` set, the
-    generator `infinity_name` and the relation
+    generator linf and the relation
     (c1*...*cn) * l_1 * ... * l_k * linf = 1 are added.
     """
     if n < 1:
         raise PresentationError("fiber rank must be >= 1")
     cnames = [f"c{i}" for i in range(1, n + 1)]
     lnames = [name for name, _b in lines]
-    gens = cnames + lnames + ([infinity_name] if infinity else [])
+    gens = cnames + lnames + (["linf"] if infinity else [])
     relators = []
     for lname, b in lines:
         if b.n != n:
@@ -88,7 +72,7 @@ def zvk_presentation(n: int, lines: Sequence[Tuple[str, BraidWord]],
         tail = GroupWord()
         for lname in lnames:
             tail = tail * GroupWord.gen(lname)
-        relators.append(c * tail * GroupWord.gen(infinity_name))
+        relators.append(c * tail * GroupWord.gen("linf"))
     return Presentation(gens, relators,
                         notes=f"zvk: n={n}, lines={lnames}, "
                               f"infinity={infinity}")
@@ -108,12 +92,3 @@ def quotient_by_relations(p: Presentation,
     suffix = note or "quotient"
     notes = (p.notes + "; " if p.notes else "") + suffix
     return Presentation(p.generators, rels, notes)
-
-
-def rename_generators(p: Presentation, mapping) -> Presentation:
-    """Bijective renaming of generators."""
-    new_names = [mapping.get(g, g) for g in p.generators]
-    images = {g: GroupWord.gen(mapping.get(g, g)) for g in p.generators}
-    return Presentation(new_names,
-                        [r.substituted(images) for r in p.relators],
-                        p.notes)

@@ -85,14 +85,6 @@ class GroupWord:
             out = out * base
         return out
 
-    def conjugate(self, g: "GroupWord") -> "GroupWord":
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
-
-    @staticmethod
-    def commutator(a: "GroupWord", b: "GroupWord") -> "GroupWord":
-        return a.inverse() * b.inverse() * a * b
-
     # -- structure -----------------------------------------------------------
     def __len__(self):
         return len(self.letters)
@@ -105,13 +97,6 @@ class GroupWord:
 
     def exponent_sum(self, name: str) -> int:
         return sum(e for n, e in self.letters if n == name)
-
-    def cyclically_reduced(self) -> "GroupWord":
-        ls = list(self.letters)
-        while len(ls) >= 2 and ls[0][0] == ls[-1][0] and \
-                ls[0][1] == -ls[-1][1]:
-            ls = ls[1:-1]
-        return GroupWord(ls)
 
     def substituted(self, images: Mapping[str, "GroupWord"]) -> "GroupWord":
         """Image under the homomorphism defined by generator images."""

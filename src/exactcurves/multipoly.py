@@ -13,9 +13,8 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import factoring
-from .fields import (QQ, FieldElement, FieldError, common_field,
-                     element_from_doc, element_to_doc, tower, up_deg, up_prem,
-                     up_trim)
+from .fields import (QQ, FieldElement, FieldError, common_field, tower,
+                     up_deg, up_prem, up_trim)
 
 
 class PolyError(ValueError):
@@ -489,51 +488,6 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
     return resultant_univ(A, B)
 
 
-def sylvester_resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    """Independent oracle: resultant as a Sylvester determinant (Bareiss)."""
-    f, g = f._compat(g)
-    A = f.as_univariate(name)
-    B = g.as_univariate(name)
-    m, n = len(A) - 1, len(B) - 1
-    if m <= 0 or n <= 0:
-        raise PolyError("positive degrees required")
-    size = m + n
-    zero = MultiPoly.zero(f.vars, f.field)
-    M = [[zero] * size for _ in range(size)]
-    for i in range(n):
-        for j, c in enumerate(reversed(A)):
-            M[i][i + j] = c
-    for i in range(m):
-        for j, c in enumerate(reversed(B)):
-            M[n + i][i + j] = c
-    return _bareiss_det(M)
-
-
-def _bareiss_det(M):
-    n = len(M)
-    M = [row[:] for row in M]
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not M[k][k]:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return _zero_like(M[0][0])
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                val = M[i][j] * M[k][k] - M[i][k] * M[k][j]
-                if prev is not None:
-                    val = _ring_exact_div_coeff(val, prev)
-                M[i][j] = val
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 # ---------------------------------------------------------------------------
 # univariate gcd, squarefree decomposition and factoring (`factoring`)
 # ---------------------------------------------------------------------------
@@ -734,13 +688,3 @@ class _Parser:
         if t in self.gens:
             return MultiPoly.const(self.vars, self.gens[t], self.field)
         raise PolyError(f"unknown symbol {t!r}")
-
-
-def poly_to_sparse(p: MultiPoly):
-    """Canonical sparse serialization: sorted [[exponents], [coordinates]]."""
-    return [[list(e), element_to_doc(c)] for e, c in p.sorted_terms()]
-
-
-def poly_from_sparse(data, varnames, field=QQ) -> MultiPoly:
-    return MultiPoly(varnames, {tuple(expo): element_from_doc(field, coords)
-                                for expo, coords in data}, field)

@@ -5,15 +5,13 @@ Newton-segment certificates for ordinary cusps (type A2) and the deeper
 cuspidal type E6 (local model u^3 = v^4), truncated integer-exponent branch
 expansions for germs whose branches are all smooth, the composite
 three-branch type with pairwise contact orders (2,2,3), tangent-line
-concurrency, weighted Bezout numbers, and projective smoothness
-certificates on one disjoint cover of the plane: the point (1:0:0), the
-line z = 0 and the chart z = 1.
+concurrency, and projective smoothness certificates on one disjoint cover
+of the plane: the point (1:0:0), the line z = 0 and the chart z = 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from . import fields as fl
@@ -29,12 +27,6 @@ class GermError(ValueError):
 class UnresolvedGerm(GermError):
     """The germ was not decided within the bounds of the expansion: its
     certificate is unresolved, not refuted."""
-
-
-# Local invariants of the model u^3 = v^4, fixed by its Newton segment
-# (3,0)-(0,4): Newton number (3-1)(4-1) = 6, delta invariant 3.
-E6_MILNOR = 6
-E6_DELTA = 3
 
 
 class CurveGerm:
@@ -88,25 +80,6 @@ class SingularityCertificate:
         self.reason = reason
         self.notes = list(notes or [])
 
-    def to_doc(self):
-        doc = {"verdict": self.verdict}
-        if self.multiplicity is not None:
-            doc["multiplicity"] = self.multiplicity
-        if self.tangent_cone is not None:
-            doc["tangent_cone"] = self.tangent_cone.to_text()
-        if self.cone_power_of is not None:
-            doc["cone_power_of"] = self.cone_power_of.to_text()
-        if self.newton_segment is not None:
-            doc["newton_segment"] = [list(p) for p in self.newton_segment]
-        if self.newton_number is not None:
-            doc["newton_number"] = self.newton_number
-        if self.contacts is not None:
-            doc["contacts"] = list(self.contacts)
-        if self.reason is not None:
-            doc["reason"] = self.reason
-        doc["notes"] = list(self.notes)
-        return doc
-
     def __repr__(self):
         return f"SingularityCertificate({self.verdict}, m={self.multiplicity})"
 
@@ -157,22 +130,12 @@ def multiplicity_and_cone(germ: CurveGerm):
         raise GermError("base point is not on the curve")
     m = f.min_degree()
     cone = f.homogeneous_part(m)
-    is_power, L = _perfect_power_linear(cone, m)
-    return m, cone, is_power, L
+    L = cone if m == 1 else _extract_power_root(cone, m)
+    return m, cone, L is not None, L
 
 
 def _cone_coeff(cone, i, j):
     return cone.terms.get((i, j), cone.field.zero())
-
-
-def _perfect_power_linear(cone: MultiPoly, m: int):
-    """Whether a binary degree-m form equals c*L^m; returns (bool, L)."""
-    if m == 0:
-        return False, None
-    if m == 1:
-        return True, cone
-    L = _extract_power_root(cone, m)
-    return (L is not None), L
 
 
 def _extract_power_root(cone: MultiPoly, m: int):
@@ -408,7 +371,7 @@ def _expand_branches(f: MultiPoly, remaining: int):
         raise UnresolvedGerm("truncation too small to separate branches")
     roots = _edge_roots(edge, f.field)
     if roots is None:
-        raise GermError(
+        raise UnresolvedGerm(
             "branch tangent direction outside supported field extensions")
     # Only terms of degree <= m*(remaining + 1) can reach a cone on the
     # rest of the path.  Multiplicity never rises along a path, and a term
@@ -555,20 +518,6 @@ def lines_concurrent(lines) -> bool:
     if len(lines) != 3:
         raise GermError("concurrency test needs exactly 3 lines")
     return not _det3([tuple(r) for r in lines])
-
-
-# ---------------------------------------------------------------------------
-# weighted Bezout
-# ---------------------------------------------------------------------------
-
-def weighted_bezout(d1: int, d2: int, weights: Sequence[int]) -> Fraction:
-    """Intersection number d1*d2/(p*q*r) in the weighted projective plane."""
-    if d1 < 0 or d2 < 0:
-        raise GermError("degrees must be nonnegative")
-    p, q, r = weights
-    if gcd(p, q) != 1 or gcd(p, r) != 1 or gcd(q, r) != 1:
-        raise GermError("weights must be pairwise coprime")
-    return Fraction(d1 * d2, p * q * r)
 
 
 # ---------------------------------------------------------------------------

@@ -182,8 +182,7 @@ def test_power_map_mechanism():
 
 def test_octic_family_assembly_all_mappings():
     from exactcurves.curves import (appendix_b_mappings,
-                                    appendix_b_singularity_check,
-                                    assemble_appendix_b)
+                                    assemble_appendix_b, certify_curve_spec)
     with budget(20):
         outcomes = {}
         for mapping in appendix_b_mappings():
@@ -195,15 +194,15 @@ def test_octic_family_assembly_all_mappings():
             assert checks["G0_order3_invariant"]
             assert checks["G_coeffs_in_fixed_field"]
             assert checks["G_order3_invariant"]
-            sing = appendix_b_singularity_check(rep)
-            assert sing["status"] in ("pass", "unresolved")
-            outcomes[mapping["label"]] = sing
+            outcomes[mapping["label"]] = certify_curve_spec(rep["record"])
         # both candidate mappings currently certify the composite type
         # with branch contacts (2, 2, 3) at both axis points; neither is
         # ruled out by the singularity pattern
-        for label, sing in outcomes.items():
-            assert sing["status"] == "pass", (label, sing)
-            for entry in sing["points"].values():
+        for label, spec in outcomes.items():
+            assert spec["ok"] is True, (label, spec)
+            assert [p["coords"] for p in spec["points"]] == \
+                [["1", "0", "0"], ["0", "1", "0"]]
+            for entry in spec["points"]:
                 assert entry["verdict"] == "COMPOSITE_3BRANCH"
                 assert tuple(sorted(entry["contacts"])) == (2, 2, 3)
 

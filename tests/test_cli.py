@@ -38,6 +38,23 @@ class TestChecksRegistry:
         finally:
             ck._CHECKS = orig
 
+    def test_refuted_octic_point_fails_the_check(self, monkeypatch):
+        # an axis point declared with a type it does not have is refuted,
+        # so the check fails rather than stays unresolved
+        assemble = ck.assemble_appendix_b
+
+        def declared_e6(mapping):
+            rep = assemble(mapping)
+            rec = rep["record"]
+            rec.singular_points = [(c, "E6") for c, _t in rec.singular_points]
+            return rep
+        monkeypatch.setattr(ck, "assemble_appendix_b", declared_e6)
+        e = ck.run_check("octic-family-singularities")
+        assert e["status"] == "fail"
+        for label in ("s23-to-r32", "s40-to-r32"):
+            spec = e["details"][label]["singularities"]
+            assert [p["verdict"] for p in spec["points"]] == ["OTHER"] * 2
+
 
 class TestManifest:
     def test_tag_filtering(self):
@@ -169,6 +186,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "smooth: unresolved" in out
         assert "overall: unresolved" in out
+
+    def test_curve_assemble_b_certifies_declared_points(self, tmp_path,
+                                                        capsys):
+        report = tmp_path / "b.json"
+        assert main(["curve", "assemble-b", "--mapping", "s23-to-r32",
+                     "--report", str(report)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("got COMPOSITE_3BRANCH contacts=(2, 2, 3)  [ok]") \
+            == 2
+        assert "  overall: ok" in out
+        spec = json.loads(report.read_text())["s23-to-r32"]["singularities"]
+        assert spec["ok"] is True
+        assert [p["coords"] for p in spec["points"]] == \
+            [["1", "0", "0"], ["0", "1", "0"]]
 
     def test_curve_pullback(self, capsys):
         assert main(["curve", "pullback", "--vars", "u,v", "-n", "2",

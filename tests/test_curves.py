@@ -10,7 +10,7 @@ from exactcurves.curves import (CurveError, CurveRecord, appendix_b_mappings,
                                 certify_curve_spec, corpus_get,
                                 invariance_check, kummer_pullback,
                                 parse_constant, projective_germ)
-from exactcurves.fields import QQ, sturm_real_roots
+from exactcurves.fields import QQ, NumberField, sturm_real_roots
 from exactcurves.multipoly import MultiPoly, parse_poly
 from exactcurves.singular import CurveGerm, certify_type
 
@@ -105,13 +105,28 @@ def test_unseparated_composite_point_is_unresolved():
     assert rep["ok"] is False
 
 
+def test_tangent_direction_beyond_extensions_is_unresolved():
+    # one level down, u^3 - a*v^6 over Q(a), a^2 = 2, has the edge
+    # polynomial t^3 - a, irreducible of degree 3 over a depth-1 field and
+    # so beyond the extensions the expansion adjoins: undecided, not refuted
+    K = NumberField("a", [Fraction(-2), 0, 1])
+    f = _q("u^3 - a*v^6", ("u", "v"), K)
+    origin = (Fraction(0), Fraction(0))
+    rec = CurveRecord("beyond", f, K, [(origin, "COMPOSITE_3BRANCH")], [],
+                      affine=True)
+    rep = certify_curve_spec(rec)
+    assert [(p["verdict"], p["ok"]) for p in rep["points"]] == \
+        [("UNRESOLVED", None)]
+    assert rep["ok"] is None
+
+
 def test_c83_quartic_constants_live_in_quartic_subfield():
     # every printed building-block constant lies in the degree-4 subfield:
     # only the explicit zeta multiplier leaves it
     rec = corpus_get("c83_quartic")
     K1 = rec.field
     b12 = parse_constant("-97*eta^3 - 23*eta^2 - 130*eta - 92", K1)
-    assert b12.as_base_constant().field is K1.base
+    assert K1.base.coerce(b12).field is K1.base
 
 
 def test_off_axis_point_data_consistent():

@@ -11,8 +11,8 @@ import pytest
 
 from exactcurves.factoring import (_norm, irreducible_factors, poly_gcd,
                                    squarefree_decomposition)
-from exactcurves.fields import (QQ, FieldError, NumberField, field_create,
-                                roots_in_field, up_mul)
+from exactcurves.fields import (QQ, FieldError, NumberField, roots_in_field,
+                                up_mul)
 from exactcurves.multipoly import MultiPoly, factor_bounded
 
 QUARTIC = [Fraction(-2), Fraction(-2), Fraction(1), Fraction(-2), Fraction(1)]
@@ -20,7 +20,7 @@ QUARTIC = [Fraction(-2), Fraction(-2), Fraction(1), Fraction(-2), Fraction(1)]
 
 @functools.lru_cache(maxsize=None)
 def towers():
-    K = field_create(QUARTIC, varname="eta")
+    K = NumberField("eta", QUARTIC)
     return K, NumberField("zeta", [K.one(), K.one(), K.one()], K)
 
 

@@ -8,9 +8,9 @@ import pytest
 from exactcurves.factoring import poly_gcd
 from exactcurves.fields import (
     QQ, FieldAutomorphism, FieldElement, FieldError, NumberField,
-    common_field, element_from_doc, element_to_doc, field_create, field_from_doc,
-    rational_roots, roots_in_field, sqrt_in_field, sturm_real_roots,
-    tower, up_derivative, up_divmod, up_eval, up_mul, up_trim,
+    common_field, element_from_doc, field_from_doc, rational_roots,
+    roots_in_field, sqrt_in_field, sturm_real_roots, tower, up_derivative,
+    up_divmod, up_eval, up_mul, up_trim,
 )
 from exactcurves.multipoly import MultiPoly, factor_bounded
 
@@ -19,7 +19,7 @@ QUARTIC = [Fraction(-2), Fraction(-2), Fraction(1), Fraction(-2), Fraction(1)]
 
 
 def make_K():
-    return field_create(QUARTIC, varname="eta")
+    return NumberField("eta", QUARTIC)
 
 
 def make_K1():
@@ -87,7 +87,7 @@ def test_coercion_through_the_whole_tower():
 
 def test_coerce_takes_a_deeper_element_down():
     # a value of K written in K1 = K(b) comes back into K
-    K = field_create([Fraction(-2), 0, 1], varname="a")
+    K = NumberField("a", [Fraction(-2), 0, 1])
     K1 = NumberField("b", [K.coerce(-3), K.zero(), K.one()], K)
     a = K.gen()
     x = K.coerce(K1.coerce(a))
@@ -115,8 +115,8 @@ def test_common_field_is_the_deepest_item():
 
 
 def test_unrelated_towers_do_not_meet():
-    A = field_create([Fraction(-2), 0, 1], varname="a")
-    B = field_create([Fraction(-3), 0, 1], varname="b")
+    A = NumberField("a", [Fraction(-2), 0, 1])
+    B = NumberField("b", [Fraction(-3), 0, 1])
     with pytest.raises(FieldError):
         A.gen() + B.gen()
     with pytest.raises(FieldError):
@@ -127,8 +127,8 @@ def test_unrelated_towers_do_not_meet():
 
 def test_equality_across_towers_is_transitive():
     # rational constants meet in Q, whichever tower they are written in
-    A = field_create([Fraction(-2), 0, 1], varname="a")
-    B = field_create([Fraction(-3), 0, 1], varname="b")
+    A = NumberField("a", [Fraction(-2), 0, 1])
+    B = NumberField("b", [Fraction(-3), 0, 1])
     assert A.one() == B.one()
     assert len({1, A.one(), B.one()}) == len({A.one(), B.one(), 1}) == 1
     # two extensions of one base meet in that base
@@ -204,7 +204,7 @@ def test_bad_automorphism_rejected():
 
 def test_automorphism_must_map_minimal_polynomials():
     # b^2 = a, so sigma(b)^2 must be sigma(a) = -a: b does not qualify
-    K = field_create([Fraction(-2), 0, 1], varname="a")
+    K = NumberField("a", [Fraction(-2), 0, 1])
     K1 = NumberField("b", [-K.gen(), 0, 1], K)
     a, b = K1.coerce(K.gen()), K1.gen()
     with pytest.raises(FieldError):
@@ -340,12 +340,12 @@ def test_field_from_doc_and_element_roundtrip():
     eta = K1.coerce(K1.base.gen())
     assert eta ** 4 - 2 * eta ** 3 + eta ** 2 - 2 * eta - 2 == 0
     x = eta ** 2 + K1.gen() * Fraction(5, 7)
-    doc2 = element_to_doc(x)
-    assert element_from_doc(K1, doc2) == x
+    assert element_from_doc(
+        K1, [["0", "0", "1", "0"], ["5/7", "0", "0", "0"]]) == x
     # the documented coordinate-vector shape over the quartic field
     r16 = 437 * eta ** 3 - 1270 * eta ** 2 + 1130 * eta - 1696
-    base_val = r16.as_base_constant()
-    assert element_to_doc(base_val) == ["-1696", "1130", "-1270", "437"]
+    assert element_from_doc(K1.base,
+                            ["-1696", "1130", "-1270", "437"]) == r16
 
 
 # -- property suite: field axioms (>= 100 randomized cases) ------------------

@@ -1,4 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and every definition in the package is read by the package itself, so
+none is kept only for the tests."""
 
 import ast
 from pathlib import Path
@@ -7,6 +9,19 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "exactcurves"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+
+# Definitions the package itself does not read, each with the reason it
+# stays.  The benchmark's layer tracer (benchmark/layertrace.py) wraps its
+# targets by name and refuses to install when one is gone, which fails
+# benchmark/test_benchmark.py and every traced run.
+ALLOWED_UNREAD = {
+    "multipoly.squarefree_part":
+        "tracer target of the multipoly.squarefree layer",
+    "singular.BranchExpansion.residual_valuation":
+        "tracer target of the singular.residual_valuation layer",
+    "fields.sqrt_in_field":
+        "tracer target of the fields.sqrt_in_field layer",
+}
 
 
 def unused_imports(source):
@@ -26,6 +41,70 @@ def unused_imports(source):
                   if name not in used)
 
 
+def _definitions(tree):
+    """(qualified name, node) for each function, class and assigned name at
+    module level or in the body of a module-level class."""
+    for node in tree.body:
+        yield from _named(node, "")
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                yield from _named(sub, node.name + ".")
+
+
+def _named(node, prefix):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        yield prefix + node.name, node
+    elif isinstance(node, ast.Assign):
+        for target in node.targets:
+            if isinstance(target, ast.Name):
+                yield prefix + target.id, node
+
+
+def _reads(tree):
+    """(name, line) for each name the module reads: loaded names,
+    attribute names and names imported from another module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def unread_definitions(sources):
+    """Definitions, as "module.qualname", that no module of `sources`
+    (module name -> text) reads outside the definition itself.
+
+    Methods and class attributes are matched by name alone, so one counts
+    as read when any attribute of that name is.  Dunder names are called
+    by the language and are skipped.
+    """
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    reads = {}
+    for mod, tree in trees.items():
+        for name, line in _reads(tree):
+            reads.setdefault(name, []).append((mod, line))
+    unread = []
+    for mod, tree in trees.items():
+        for qual, node in _definitions(tree):
+            name = qual.rsplit(".", 1)[-1]
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if all(m == mod and node.lineno <= line <= node.end_lineno
+                   for m, line in reads.get(name, [])):
+                unread.append(f"{mod}.{qual}")
+    return sorted(unread)
+
+
+def _package_unread():
+    return unread_definitions({
+        ".".join(p.relative_to(SRC).with_suffix("").parts): p.read_text()
+        for p in MODULES})
+
+
 def test_checker_finds_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import os, sys\nfrom typing import List as L, Dict\n"
@@ -36,3 +115,32 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_finds_a_test_only_definition():
+    # `planted` and `LIMIT` are read by no module, `countdown` only by
+    # itself; `helper` is read by `planted`, `Box.size` through an
+    # attribute in another module, and `__repr__` is skipped
+    sources = {
+        "a": ("LIMIT = 3\n"
+              "def helper():\n    return 1\n"
+              "def planted():\n    return helper()\n"
+              "def countdown(n):\n    return countdown(n - 1) if n else 0\n"
+              "class Box:\n"
+              "    def __repr__(self):\n        return 'Box'\n"
+              "    def size(self):\n        return 1\n"),
+        "b": "from a import Box\nprint(Box().size())\n",
+    }
+    assert unread_definitions(sources) == ["a.LIMIT", "a.countdown",
+                                           "a.planted"]
+
+
+def test_every_definition_is_read_in_src():
+    unread = set(_package_unread()) - set(ALLOWED_UNREAD)
+    assert sorted(unread) == []
+
+
+def test_allow_list_has_no_stale_entry():
+    # an entry whose name is gone from src/, or now read there, goes
+    stale = set(ALLOWED_UNREAD) - set(_package_unread())
+    assert sorted(stale) == []

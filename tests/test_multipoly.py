@@ -6,12 +6,10 @@ from fractions import Fraction
 import pytest
 
 from exactcurves.factoring import poly_gcd
-from exactcurves.fields import (QQ, FieldError, NumberField, field_create,
-                                up_derivative)
+from exactcurves.fields import QQ, FieldError, NumberField, up_derivative
 from exactcurves.multipoly import (
     MultiPoly, PolyError, exact_div, factor_bounded, parse_poly,
-    poly_from_sparse, poly_gcd_univ, poly_to_sparse, resultant,
-    squarefree_decomposition, squarefree_part, sylvester_resultant,
+    poly_gcd_univ, resultant, squarefree_decomposition, squarefree_part,
 )
 
 XYZ = ("x", "y", "z")
@@ -116,12 +114,30 @@ def test_resultant_common_root_vanishes():
     assert resultant(f, g, "x").is_zero()
 
 
+def to_sympy(f):
+    """A polynomial over Q as a sympy expression in its variables."""
+    import sympy
+    syms = sympy.symbols(f.vars)
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[s ** k for s, k in zip(syms, e)])
+                       for e, c in f.terms.items()])
+
+
 @pytest.mark.parametrize("seed", range(100))
 def test_resultant_matches_sylvester_oracle(seed):
+    # the oracle is the determinant of sympy's Sylvester matrix;
+    # sympy.resultant itself is not used, since sympy 1.14 drops the sign
+    # (-1)^(m*n) when deg f < deg g: resultant(x - 1, x^3 - 2, x) gives 1
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.subresultants_qq_zz import sylvester
     rng = random.Random(40_000 + seed)
     a = rand_poly_in_x(rng, max_deg=3, nterms=4, coeff=5)
     b = rand_poly_in_x(rng, max_deg=3, nterms=4, coeff=5)
-    assert resultant(a, b, "x") == sylvester_resultant(a, b, "x")
+    M = DomainMatrix.from_Matrix(
+        sylvester(to_sympy(a), to_sympy(b), sympy.Symbol("x")))
+    expected = M.domain.to_sympy(M.det())
+    assert sympy.expand(to_sympy(resultant(a, b, "x")) - expected) == 0
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -149,20 +165,19 @@ def test_resultant_swap_sign(seed):
 
 
 def test_resultant_over_number_field():
-    K = field_create([Fraction(-2), Fraction(-2), Fraction(1),
-                      Fraction(-2), Fraction(1)], varname="eta")
+    K = NumberField("eta", [Fraction(-2), Fraction(-2), Fraction(1),
+                            Fraction(-2), Fraction(1)])
     p = parse_poly("eta*x^2 + (eta^2-2)*y", ("x", "y"), K)
     q = parse_poly("x*y - 1", ("x", "y"), K)
     eta = K.gen()
     expect = MultiPoly(("x", "y"), {(0, 3): eta ** 2 - 2, (0, 0): eta}, K)
     assert resultant(p, q, "x") == expect
-    assert resultant(p, q, "x") == sylvester_resultant(p, q, "x")
 
 
 def test_hash_agrees_with_equality():
     one = MultiPoly.const(("x",), 1)
     assert one == 1 and len({one, 1}) == 1
-    K = field_create([Fraction(-2), 0, 1], varname="a")
+    K = NumberField("a", [Fraction(-2), 0, 1])
     K1 = NumberField("b", [K.one(), K.zero(), K.one()], K)
     p = parse_poly("a*x^2 + 1", ("x",), K)
     assert p == p.to_field(K1) and len({p, p.to_field(K1)}) == 1
@@ -173,13 +188,13 @@ def test_hash_agrees_with_equality():
 def test_coefficients_are_coerced_into_the_field():
     # an element of a deeper field is no coefficient of a K polynomial
     # unless its value lies in K
-    K = field_create([Fraction(-2), 0, 1], varname="a")
+    K = NumberField("a", [Fraction(-2), 0, 1])
     K1 = NumberField("b", [K.coerce(-3), K.zero(), K.one()], K)
     with pytest.raises(FieldError):
         MultiPoly(("x",), {(1,): K1.gen()}, K)
     p = MultiPoly(("x",), {(1,): K1.coerce(K.gen())}, K)
     assert p.terms[(1,)].field is K
-    B = field_create([Fraction(-5), 0, 1], varname="c")
+    B = NumberField("c", [Fraction(-5), 0, 1])
     with pytest.raises(FieldError):
         MultiPoly(("x",), {(1,): B.gen()}, K)
 
@@ -253,22 +268,7 @@ def test_factor_bounded_cap4_accepts_quartic():
     assert degs == [1, 4]
 
 
-# -- serialization -----------------------------------------------------------
-
-def test_sparse_roundtrip_q():
-    f = parse_poly("x^2*y - 7/3*z + 1", XYZ)
-    data = poly_to_sparse(f)
-    assert poly_from_sparse(data, XYZ) == f
-    # canonical order: graded-lex descending
-    assert data[0][0] == [2, 1, 0]
-
-
-def test_sparse_roundtrip_number_field():
-    K = field_create([Fraction(-2), Fraction(-2), Fraction(1),
-                      Fraction(-2), Fraction(1)], varname="eta")
-    p = parse_poly("eta*x^2 + (eta^2-2)*y", ("x", "y"), K)
-    assert poly_from_sparse(poly_to_sparse(p), ("x", "y"), K) == p
-
+# -- text --------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(30))
 def test_text_roundtrip(seed):

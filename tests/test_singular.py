@@ -9,9 +9,9 @@ from exactcurves import factoring, singular
 from exactcurves.fields import NumberField, QQ
 from exactcurves.multipoly import MultiPoly, parse_poly
 from exactcurves.singular import (
-    CurveGerm, GermError, certify_composite, certify_smooth_projective,
-    certify_type, lines_concurrent, multiplicity_and_cone, puiseux_branches,
-    tangent_lines_and_concurrency, weighted_bezout,
+    CurveGerm, GermError, UnresolvedGerm, certify_composite,
+    certify_smooth_projective, certify_type, lines_concurrent,
+    multiplicity_and_cone, puiseux_branches, tangent_lines_and_concurrency,
 )
 
 UV = ("u", "v")
@@ -174,7 +174,7 @@ def test_unresolved_edge_factorization_is_germ_error(monkeypatch):
     # the conjugates of a root of t^4 - 2 over Q(w) go unresolved
     monkeypatch.setattr(factoring, "RECOMBINATION_BUDGET", 1)
     germ = CurveGerm(parse_poly("u^4 - 2*v^4 + v^5", UV))
-    with pytest.raises(GermError):
+    with pytest.raises(UnresolvedGerm):
         puiseux_branches(germ)
 
 
@@ -289,19 +289,6 @@ def test_tangent_rejects_non_unique():
         tangent_lines_and_concurrency(
             f, [tuple(Fraction(c) for c in p)
                 for p in [(0, 0, 1), (0, 0, 1), (0, 0, 1)]])
-
-
-# -- weighted Bezout ---------------------------------------------------------
-
-def test_weighted_bezout_values():
-    assert weighted_bezout(1, 8, (1, 1, 2)) == 4
-    assert weighted_bezout(2, 8, (1, 1, 2)) == 8
-    assert weighted_bezout(5, 5, (1, 1, 1)) == 25
-
-
-def test_weighted_bezout_rejects_common_factor():
-    with pytest.raises(GermError):
-        weighted_bezout(1, 1, (2, 2, 1))
 
 
 # -- projective smoothness ---------------------------------------------------
