@@ -201,28 +201,11 @@ def _cmd_group(args):
 # solve
 # ---------------------------------------------------------------------------
 
-def _build_filters(doc, varnames, field):
-    from .elim import FactorFilter
-    filters = []
-    for spec in doc.get("filters", []):
-        kind = spec.get("type")
-        if kind == "variable_vanishing":
-            filters.append(FactorFilter.variable_vanishing(spec["var"]))
-        elif kind == "poly_match":
-            filters.append(FactorFilter.poly_match(
-                spec.get("name", spec["text"]), spec["text"],
-                varnames, field))
-        else:
-            raise ValueError(f"unknown filter type {kind!r}")
-    return filters
-
-
 def _cmd_solve(args):
     from .elim import solve_system, system_from_doc
     with open(args.system) as fh:
         doc = json.load(fh)
-    root = system_from_doc(doc)
-    filters = _build_filters(doc, root.remaining_vars, root.field)
+    root, filters = system_from_doc(doc)
     budgets = {}
     if args.budget_nodes is not None:
         budgets["node_cap"] = args.budget_nodes

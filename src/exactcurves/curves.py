@@ -12,13 +12,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from importlib import resources
+from typing import Sequence
 
 from . import fields as fl
 from .fields import QQ, FieldAutomorphism, NumberField, field_from_doc
 from .multipoly import MultiPoly, dehomogenize, parse_poly
 from .singular import (CurveGerm, GermError, UnresolvedGerm,
                        certify_composite, certify_smooth_projective,
-                       certify_type, tangent_lines_and_concurrency)
+                       certify_type, multiplicity_and_cone)
 
 
 class CurveError(ValueError):
@@ -116,19 +117,71 @@ def _load_point_file(fname):
 # germs at projective points
 # ---------------------------------------------------------------------------
 
+def _chart(point):
+    """The chart of a projective point: the index of its first nonzero
+    coordinate, then the indices of the other two in order."""
+    i = next((k for k in (0, 1, 2) if point[k]), None)
+    if i is None:
+        raise CurveError("zero projective point")
+    return (i, *(t for t in (0, 1, 2) if t != i))
+
+
 def projective_germ(f: MultiPoly, point) -> CurveGerm:
     """Affine germ of a homogeneous 3-variable polynomial at a point, in
-    the chart of the point's first nonzero coordinate."""
+    the point's chart (`_chart`)."""
     if len(f.vars) != 3:
         raise CurveError("expected a polynomial in 3 variables")
     field = fl.common_field(f, *point)
     pt = [field.coerce(c) for c in point]
-    i = next((k for k in (0, 1, 2) if pt[k]), None)
-    if i is None:
-        raise CurveError("zero projective point")
-    j, k = [t for t in (0, 1, 2) if t != i]
+    i, j, k = _chart(pt)
     s = 1 / pt[i]
     return CurveGerm(dehomogenize(f, i), (pt[j] * s, pt[k] * s))
+
+
+# ---------------------------------------------------------------------------
+# tangent lines and concurrency
+# ---------------------------------------------------------------------------
+
+def tangent_lines_and_concurrency(f: MultiPoly, points: Sequence):
+    """Unique tangent line at each singular point; concurrency of 3 lines.
+
+    `f` is homogeneous in 3 variables; each point is a projective triple
+    with a perfect-power tangent cone at it.  Returns (lines, concurrent)
+    where each line is a coefficient triple on the variables of f.
+    """
+    if len(f.vars) != 3:
+        raise GermError("projective polynomial must have 3 variables")
+    lines = [_tangent_line_at(f, p) for p in points]
+    return lines, lines_concurrent(lines)
+
+
+def _tangent_line_at(f: MultiPoly, point):
+    germ = projective_germ(f, point)
+    _m, _cone, is_power, L = multiplicity_and_cone(germ)
+    if not is_power:
+        raise GermError("point has a non-unique tangent line")
+    field = germ.field
+    i, j, k = _chart(point)
+    a, b = germ.point
+    cu = L.terms.get((1, 0), field.zero())
+    cv = L.terms.get((0, 1), field.zero())
+    # affine line cu*(x_j - a*x_i) + cv*(x_k - b*x_i) = 0, homogenized
+    coeffs = [field.zero()] * 3
+    coeffs[j] = cu
+    coeffs[k] = cv
+    coeffs[i] = -(cu * a + cv * b)
+    return tuple(coeffs)
+
+
+def _det3(rows):
+    (a, b, c), (d, e, f_), (g, h, i) = rows
+    return a * (e * i - f_ * h) - b * (d * i - f_ * g) + c * (d * h - e * g)
+
+
+def lines_concurrent(lines) -> bool:
+    if len(lines) != 3:
+        raise GermError("concurrency test needs exactly 3 lines")
+    return not _det3([tuple(r) for r in lines])
 
 
 # ---------------------------------------------------------------------------

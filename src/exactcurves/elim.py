@@ -4,7 +4,8 @@ A polynomial system over Q (or a bounded tower extension) is solved by
 repeatedly eliminating one variable: a pivot generator is chosen, resultants
 against the remaining generators are computed, factored, and optionally
 pruned by declared degeneracy filters; every surviving factor combination
-becomes a child node.  Univariate leaves are classified and solved values
+becomes a child node unless a sibling has the same generators up to
+scalars.  Univariate leaves are classified and solved values
 are pushed back up the tree through bounded field extensions, with every
 emitted solution verified against the original generators.
 
@@ -20,8 +21,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from . import fields as fl
 from .fields import FieldError, NumberField, QQ
-from .multipoly import (MultiPoly, PolyError, factor_bounded, parse_poly,
-                        poly_gcd_univ, resultant, squarefree_decomposition)
+from .multipoly import (MultiPoly, factor_bounded, leading_term, parse_poly,
+                        poly_gcd_univ, resultant)
 
 
 class ElimError(ValueError):
@@ -32,8 +33,15 @@ DEFAULT_BUDGETS = {"node_cap": 10_000, "degree_cap": 4, "time_cap_s": 300.0}
 
 
 # ---------------------------------------------------------------------------
-# factor filters
+# canonical form and factor filters
 # ---------------------------------------------------------------------------
+
+def _canonical(p: MultiPoly) -> MultiPoly:
+    """p scaled so its graded-lex leading coefficient is 1: two nonzero
+    polynomials have one canonical form exactly when each is a scalar
+    multiple of the other."""
+    return p * (1 / leading_term(p)[1])
+
 
 class FactorFilter:
     """A named, deterministic predicate removing degenerate resultant factors.
@@ -43,14 +51,9 @@ class FactorFilter:
     filter's name.
     """
 
-    def __init__(self, name: str, predicate: Callable[[MultiPoly], bool],
-                 description: str = ""):
+    def __init__(self, name: str, matches: Callable[[MultiPoly], bool]):
         self.name = name
-        self.predicate = predicate
-        self.description = description or name
-
-    def matches(self, factor: MultiPoly) -> bool:
-        return bool(self.predicate(factor))
+        self.matches = matches
 
     def __repr__(self):
         return f"FactorFilter({self.name})"
@@ -58,49 +61,16 @@ class FactorFilter:
     @staticmethod
     def variable_vanishing(varname: str) -> "FactorFilter":
         """Drop the bare coordinate factor (a degenerate locus like x=0)."""
-        def pred(p):
-            return (varname in p.vars
-                    and _is_scalar_multiple(
-                        p, MultiPoly.var(p.vars, varname, p.field)))
-        return FactorFilter(f"vanishing({varname})", pred,
-                            f"factor is the coordinate {varname}")
+        return FactorFilter(f"vanishing({varname})", lambda p: (
+            varname in p.vars
+            and _canonical(p) == MultiPoly.var(p.vars, varname, p.field)))
 
     @staticmethod
     def poly_match(name: str, text: str, varnames: Sequence[str],
                    field=QQ) -> "FactorFilter":
         """Drop factors that are scalar multiples of a given polynomial."""
-        target = parse_poly(text, tuple(varnames), field)
-
-        def pred(p):
-            try:
-                return _is_scalar_multiple(p.to_field(target.field), target)
-            except (FieldError, PolyError):
-                return False
-        return FactorFilter(name, pred, f"factor matches {text}")
-
-
-def _is_scalar_multiple(p: MultiPoly, q: MultiPoly) -> bool:
-    if p.vars != q.vars and set(q.vars) <= set(p.vars):
-        q = MultiPoly(p.vars, {
-            tuple(e[q.vars.index(v)] if v in q.vars else 0
-                  for v in p.vars): c
-            for e, c in q.terms.items()}, q.field)
-    if p.vars != q.vars or len(p.terms) != len(q.terms) or not p.terms:
-        return p.is_zero() and q.is_zero()
-    e0 = next(iter(p.terms))
-    if e0 not in q.terms:
-        return False
-    s = p.terms[e0] / q.terms[e0]
-    return all(e in q.terms and c == s * q.terms[e]
-               for e, c in p.terms.items())
-
-
-def _normalize(p: MultiPoly) -> MultiPoly:
-    """Scale so the graded-lex leading coefficient is 1 (for deduplication)."""
-    if not p.terms:
-        return p
-    e = max(p.terms, key=lambda t: (sum(t), t))
-    return p * (1 / p.terms[e])
+        target = _canonical(parse_poly(text, tuple(varnames), field))
+        return FactorFilter(name, lambda p: _canonical(p) == target)
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +94,6 @@ class EliminationNode:
         self.path = path
         self.status = "open"
         self.status_reason = ""
-        self.pivot_used = None    # set when this node is expanded
-        self.var_eliminated = None
-        self.children = []
         # history invariants
         hist = self.history()
         if len(hist) != len(set(hist)):
@@ -167,8 +134,8 @@ def eliminate_step(node: EliminationNode, pivot: MultiPoly, var: str,
     Returns a list of dicts, one per paired generator:
       {"generator": g, "resultant": r, "zero": bool, "constant": bool,
        "factors": [MultiPoly...], "unresolved": [MultiPoly...]}
-    Factors are squarefree, normalized, with bounded-degree factor search
-    applied when the resultant is univariate.
+    Factors are in canonical form and are those of `_factor_poly`:
+    irreducible, except the whole multivariate rest of a resultant.
     """
     if pivot.degree_in(var) <= 0:
         raise ElimError(f"pivot has no positive degree in {var}")
@@ -194,62 +161,33 @@ def eliminate_step(node: EliminationNode, pivot: MultiPoly, var: str,
 
 
 def _factor_poly(r: MultiPoly, degree_cap: int):
-    """Squarefree factors of r (deduplicated, normalized).
+    """Canonical factors of r, and those left unresolved.
 
-    Univariate polynomials get the bounded-degree factor search; genuinely
-    multivariate ones are reduced to squarefree parts per variable only.
+    A univariate r is factored exactly (`factor_bounded`).  A multivariate
+    r first loses its coordinate factors x^k; a univariate rest is then
+    factored exactly too, and a multivariate rest is kept whole, so that
+    factor need be neither squarefree nor irreducible.
     """
-    live = [v for v in r.vars if r.degree_in(v) > 0]
     factors, unresolved = [], []
-    if len(live) == 1:
-        _c, facs, unres = factor_bounded(r, live[0], degree_cap)
-        factors = [p for p, _m in facs]
-        unresolved = [p for p, _m in unres]
-    else:
-        # peel coordinate factors x^k, then keep the squarefree core whole
-        core = r
-        for v in live:
-            k = min(e[r.vars.index(v)] for e in core.terms)
+    rest = r
+    live = [v for v in r.vars if r.degree_in(v) > 0]
+    if len(live) > 1:
+        for i, v in enumerate(r.vars):
+            k = min(e[i] for e in rest.terms)
             if k > 0:
                 factors.append(MultiPoly.var(r.vars, v, r.field))
-                core = MultiPoly(r.vars, {
-                    tuple(x - (k if i == r.vars.index(v) else 0)
-                          for i, x in enumerate(e)): c
-                    for e, c in core.terms.items()}, r.field)
-        if any(any(e) for e in core.terms):
-            core = _multivar_squarefree(core)
-            factors.append(core)
-    seen, out = set(), []
-    for p in factors:
-        p = _normalize(p)
-        key = p.to_text()
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    seen2, out2 = set(), []
-    for p in unresolved:
-        p = _normalize(p)
-        key = p.to_text()
-        if key not in seen2 and key not in seen:
-            seen2.add(key)
-            out2.append(p)
-    return out, out2
-
-
-def _multivar_squarefree(p: MultiPoly) -> MultiPoly:
-    """Replace repeated univariate-in-one-variable square factors when the
-    polynomial happens to be a perfect power in one variable; otherwise
-    return it unchanged (no full multivariate factorization is attempted)."""
-    for v in p.vars:
-        if p.degree_in(v) > 0:
-            try:
-                _c, parts = squarefree_decomposition(p, v)
-            except PolyError:
-                return p
-            if len(parts) == 1 and parts[0][1] > 1:
-                return parts[0][0]
-            return p
-    return p
+                rest = MultiPoly(r.vars, {e[:i] + (e[i] - k,) + e[i + 1:]: c
+                                          for e, c in rest.terms.items()},
+                                 r.field)
+        live = [v for v in r.vars if rest.degree_in(v) > 0]
+    if len(live) == 1:
+        _c, facs, unres = factor_bounded(rest, live[0], degree_cap)
+        factors += [p for p, _m in facs]
+        unresolved = [p for p, _m in unres]
+    elif live:
+        factors.append(rest)
+    return (list(dict.fromkeys(map(_canonical, factors))),
+            list(dict.fromkeys(map(_canonical, unresolved))))
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +200,14 @@ def expand_children(node: EliminationNode, pivot: MultiPoly, var: str,
     """Build the child nodes for one elimination step.
 
     One child per cartesian selection of surviving factors (one factor per
-    resultant), deduplicated; generators independent of `var` are carried
-    through.  Filtered factors are logged with the filter name.  A zero
-    resultant closes the node unresolved, since its zero set may then hold
-    a whole component.
+    resultant); generators independent of `var` are carried through.  A
+    child's generators are distinct up to scalars, and no two children
+    have the same set of canonical generators.  Filtered factors are
+    logged with the filter name.  A zero resultant closes the node
+    unresolved, since its zero set may then hold a whole component.
     """
     if audit is None:
         audit = []
-    node.pivot_used = pivot
-    node.var_eliminated = var
-    carried = [g for g in node.gens
-               if g is not pivot and g.degree_in(var) <= 0]
     if any(entry["constant"] for entry in step_results):
         node.close("contradictory", "nonzero constant resultant")
         audit.append({"node": node.path, "event": "contradiction",
@@ -304,6 +239,11 @@ def expand_children(node: EliminationNode, pivot: MultiPoly, var: str,
             return []
         choice_sets.append(surviving)
 
+    # generators keyed by canonical form; factors already are canonical
+    carried = {}
+    for g in node.gens:
+        if g is not pivot and g.degree_in(var) <= 0:
+            carried.setdefault(_canonical(g), g)
     remaining = tuple(v for v in node.remaining_vars if v != var)
     combos = [[]]
     for s in choice_sets:
@@ -311,26 +251,16 @@ def expand_children(node: EliminationNode, pivot: MultiPoly, var: str,
     seen = set()
     children = []
     for combo in combos:
-        gens = carried + combo
-        gens = [g for g in gens if not g.is_zero()]
-        if not gens:
-            continue
-        key = tuple(sorted(g.to_text() for g in gens))
+        gens = dict(carried)
+        for p in combo:
+            gens.setdefault(p, p)
+        key = frozenset(gens)
         if key in seen:
             continue
         seen.add(key)
-        dedup = []
-        kseen = set()
-        for g in gens:
-            t = _normalize(g).to_text()
-            if t not in kseen:
-                kseen.add(t)
-                dedup.append(g)
-        child = EliminationNode(dedup, node.field, remaining, parent=node,
-                                elim_var=var,
-                                path=f"{node.path}.{len(children)}")
-        children.append(child)
-    node.children = children
+        children.append(EliminationNode(
+            gens.values(), node.field, remaining, parent=node, elim_var=var,
+            path=f"{node.path}.{len(children)}"))
     audit.append({"node": node.path, "event": "expanded", "pivot":
                   pivot.to_text(), "var": var, "children": len(children)})
     return children
@@ -416,8 +346,6 @@ def search(root: EliminationNode, order: Optional[Sequence[str]] = None,
                 kept, node.field,
                 tuple(v for v in node.remaining_vars if v != var),
                 parent=node, elim_var=var, path=node.path + ".0")
-            node.children = [child]
-            node.var_eliminated = var
             audit.append({"node": node.path, "event": "skip_var",
                           "var": var})
             stack.append(child)
@@ -444,39 +372,65 @@ def search(root: EliminationNode, order: Optional[Sequence[str]] = None,
     return report
 
 
+def _univariate_step(gens, var: str, field, assign: Mapping, cap: int):
+    """The one univariate step, taken at a leaf and at every ancestor
+    during back-substitution.
+
+    Substitutes `assign` into `gens` over `field`, takes the gcd in `var`
+    of the results that involve `var`, and factors it exactly.  Returns
+    None when no generator constrains `var`, ([], []) when `assign` makes
+    a generator a nonzero constant or the gcd constant, and otherwise the
+    factors and the unresolved factors as `factor_bounded` sorts them.
+    """
+    univs = []
+    for g in gens:
+        h = g.to_field(field).substitute(assign) if assign else g
+        if h.is_zero():
+            continue
+        if h.degree_in(var) <= 0:
+            if any(any(e) for e in h.terms):
+                continue  # involves untouched vars only: no constraint
+            return [], []
+        univs.append(h)
+    if not univs:
+        return None
+    g = univs[0]
+    for h in univs[1:]:
+        g = poly_gcd_univ(g, h, var)
+    if g.degree_in(var) <= 0:
+        return [], []
+    _c, facs, unres = factor_bounded(g, var, cap)
+    return [p for p, _m in facs], [p for p, _m in unres]
+
+
 def _classify_leaf(node: EliminationNode, cap: int, audit: list):
-    var = node.remaining_vars[0] if node.remaining_vars else None
-    if var is None:
+    if not node.remaining_vars:
         node.close("unresolved", "no variable left")
         return
-    polys = [g for g in node.gens if g.degree_in(var) >= 0]
-    g = None
-    for p in polys:
-        g = p if g is None else poly_gcd_univ(g, p, var)
-    if g is None or g.is_zero():
+    step = _univariate_step(node.gens, node.remaining_vars[0], node.field,
+                            {}, cap)
+    if step is None:
         node.close("unresolved", "zero ideal in the last variable")
         audit.append({"node": node.path, "event": "unresolved",
                       "detail": "no univariate constraint"})
         return
-    if g.degree_in(var) <= 0:
+    factors, unres = step
+    if not factors and not unres:
         node.close("contradictory", "univariate gcd is a nonzero constant")
         audit.append({"node": node.path, "event": "contradiction",
                       "detail": "constant gcd at leaf"})
         return
-    node.leaf_gcd = g
-    _c, facs, unres = factor_bounded(g, var, cap)
-    node.leaf_factors = [p for p, _m in facs]
-    node.leaf_unresolved = [p for p, _m in unres]
     if unres:
         node.close("unresolved",
                    "factor beyond degree cap: "
-                   + "; ".join(p.to_text() for p, _m in unres))
+                   + "; ".join(p.to_text() for p in unres))
         audit.append({"node": node.path, "event": "unresolved",
                       "detail": node.status_reason})
     else:
+        node.leaf_factors = factors
         node.close("solved")
         audit.append({"node": node.path, "event": "solved",
-                      "factors": [p.to_text() for p in node.leaf_factors]})
+                      "factors": [p.to_text() for p in factors]})
 
 
 # ---------------------------------------------------------------------------
@@ -486,136 +440,71 @@ def _classify_leaf(node: EliminationNode, cap: int, audit: list):
 def back_substitute(leaf: EliminationNode, degree_cap: int = 4):
     """Solutions of the original system reached through this solved leaf.
 
-    Walks the elimination history upward, at each level substituting the
-    values found so far, factoring the resulting univariate polynomial over
-    the current tower (adjoining a bounded extension per irreducible factor
-    when needed), and finally verifying every assignment against the root
-    generators.  A verification failure aborts loudly; residual factors
-    beyond the cap are reported as unresolved records.
+    Walks the elimination history upward.  Each irreducible factor of a
+    level's univariate step fixes that level's variable, in the current
+    tower or in one bounded extension adjoined for it; the next ancestor
+    then takes its univariate step under the values found so far.  Every
+    assignment that reaches the root is verified against the root
+    generators, and a verification failure aborts loudly; factors beyond
+    the cap are reported as unresolved records.
     """
     if leaf.status != "solved":
         raise ElimError(f"leaf is {leaf.status}, not solved")
     chain = [leaf]
     while chain[-1].parent is not None:
         chain.append(chain[-1].parent)
-    root = chain[-1]
-    var0 = leaf.remaining_vars[0]
     name_counter = [0]
-
-    partials = []  # (field, {var: value}, extensions)
-    for fac in leaf.leaf_factors:
-        for field, val, ext, note in _values_of(fac, var0, leaf.field,
-                                                name_counter):
-            if val is None:
-                partials.append(_unresolved_record(
-                    {var0: None}, note))
-            else:
-                partials.append((field, {var0: val}, list(ext)))
-
     results = []
-    for item in partials:
-        if isinstance(item, dict):   # already an unresolved record
-            results.append(item)
-            continue
-        results.extend(_ascend(chain, item, degree_cap, name_counter))
 
-    # unconditional verification against the root ideal
-    for rec in results:
-        if rec["status"] != "solved":
-            continue
-        field = rec["field"]
-        point = rec["assignment"]
-        for g in root.gens:
-            val = g.to_field(field).eval_point(point)
-            if val != field.coerce(0) and val != 0:
-                raise ElimError(
-                    "internal error: emitted solution fails the root ideal "
-                    f"on {g.to_text()}")
-        rec["verified"] = True
+    def extend(level, var, factors, field, assign, exts):
+        # chain[level] fixes `var` to a root of one of `factors`; its
+        # parent, chain[level + 1], eliminated chain[level].elim_var
+        for p in factors:
+            coeffs = fl.up_monic(p.univariate_coeffs(var))
+            if len(coeffs) == 2:
+                nfield, value, ext = field, field.coerce(-coeffs[0]), []
+            else:
+                name = fl.fresh_name(field, name_counter)
+                try:
+                    nfield = NumberField(name, coeffs, field)
+                except FieldError as exc:
+                    results.append(_unresolved_record(
+                        assign, f"cannot adjoin degree-{len(coeffs) - 1} "
+                                f"root: {exc}"))
+                    continue
+                value, ext = nfield.gen(), [(name, p.to_text())]
+            point = {v: nfield.coerce(x) for v, x in assign.items()}
+            point[var] = value
+            if level + 1 == len(chain):
+                bad = next((g for g in chain[-1].gens
+                            if g.to_field(nfield).eval_point(point) != 0),
+                           None)
+                if bad is not None:
+                    raise ElimError("internal error: emitted solution fails "
+                                    f"the root ideal on {bad.to_text()}")
+                results.append({"status": "solved", "field": nfield,
+                                "assignment": point,
+                                "extensions": exts + ext, "verified": True})
+                continue
+            up = chain[level].elim_var
+            step = _univariate_step(chain[level + 1].gens, up, nfield, point,
+                                    degree_cap)
+            if step is None:
+                results.append(_unresolved_record(
+                    point, f"variable {up} unconstrained after substitution"))
+                continue
+            facs, unres = step
+            results.extend(_unresolved_record(
+                point, f"residual factor beyond cap in {up}: " + q.to_text())
+                for q in unres)
+            extend(level + 1, up, facs, nfield, point, exts + ext)
+
+    extend(0, leaf.remaining_vars[0], leaf.leaf_factors, leaf.field, {}, [])
     return results
 
 
-def _ascend(chain, seed, degree_cap, name_counter):
-    """Recursive walk from the leaf's parent up to the root."""
-    field, assign, exts = seed
-    out = []
-
-    def step(level, field, assign, exts):
-        # levels: chain[1:] are the ancestors; chain[i] produced chain[i-1]
-        # by eliminating chain[i-1].elim_var from its own generators
-        if level >= len(chain):
-            out.append({"status": "solved", "field": field,
-                        "assignment": dict(assign),
-                        "extensions": list(exts)})
-            return
-        node = chain[level]
-        var = chain[level - 1].elim_var
-        if var in assign:   # skip_var level: nothing to recover
-            step(level + 1, field, assign, exts)
-            return
-        sub = {v: x for v, x in assign.items()}
-        univs = []
-        for g in node.gens:
-            h = g.to_field(field).substitute(sub)
-            if h.is_zero():
-                continue
-            if h.degree_in(var) <= 0:
-                if any(any(e) for e in h.terms):
-                    continue  # involves untouched vars only: no constraint
-                return        # nonzero constant: inconsistent branch
-            univs.append(h)
-        if not univs:
-            out.append(_unresolved_record(
-                assign, f"variable {var} unconstrained after substitution"))
-            return
-        g = univs[0]
-        for h in univs[1:]:
-            g = poly_gcd_univ(g, h, var)
-        if g.degree_in(var) <= 0:
-            return  # inconsistent combination of values: prune silently
-        _c, facs, unres = factor_bounded(g, var, degree_cap)
-        for p, _m in unres:
-            out.append(_unresolved_record(
-                assign, f"residual factor beyond cap in {var}: "
-                        + p.to_text()))
-        for p, _m in facs:
-            for nfield, val, next_exts, note in _values_of(
-                    p, var, field, name_counter):
-                if val is None:
-                    out.append(_unresolved_record(assign, note))
-                    continue
-                nassign = {v: nfield.coerce(x) for v, x in assign.items()}
-                nassign[var] = val
-                step(level + 1, nfield, nassign, exts + list(next_exts))
-
-    step(1, field, assign, exts)
-    return out
-
-
-def _values_of(factor: MultiPoly, var: str, field, name_counter):
-    """Root(s) of an irreducible univariate factor over `field`, adjoining
-    one bounded extension when the degree exceeds 1.
-
-    Yields (field, value, extensions, note); value None signals an
-    unresolved branch (tower depth exhausted).
-    """
-    coeffs = fl.up_monic(factor.univariate_coeffs(var))
-    deg = len(coeffs) - 1
-    if deg == 1:
-        yield field, field.coerce(-coeffs[0]), [], ""
-        return
-    name = fl.fresh_name(field, name_counter)
-    try:
-        ext = NumberField(name, coeffs, field)
-    except FieldError as exc:
-        yield field, None, [], f"cannot adjoin degree-{deg} root: {exc}"
-        return
-    yield ext, ext.gen(), [(name, factor.to_text())], ""
-
-
 def _unresolved_record(assign, reason):
-    return {"status": "unresolved",
-            "partial": {v: x for v, x in assign.items() if x is not None},
+    return {"status": "unresolved", "partial": dict(assign),
             "reason": reason}
 
 
@@ -623,12 +512,30 @@ def _unresolved_record(assign, reason):
 # system documents
 # ---------------------------------------------------------------------------
 
-def system_from_doc(doc) -> EliminationNode:
-    """Root node from {"vars": [...], "field": doc|None, "polys": [text]}."""
+def system_from_doc(doc):
+    """Root node and declared filters of a system document.
+
+    {"vars": [...], "field": field doc or null, "polys": [text],
+     "filters": [{"type": "variable_vanishing", "var": v} or
+                 {"type": "poly_match", "text": t, "name": n}]};
+    "field", "filters" and a filter's "name" are optional.
+    """
     field = fl.field_from_doc(doc["field"]) if doc.get("field") else QQ
     varnames = tuple(doc["vars"])
-    gens = [parse_poly(t, varnames, field) for t in doc["polys"]]
-    return make_root(varnames, gens, field)
+    root = make_root(varnames, [parse_poly(t, varnames, field)
+                                for t in doc["polys"]], field)
+    filters = []
+    for spec in doc.get("filters", []):
+        kind = spec.get("type")
+        if kind == "variable_vanishing":
+            filters.append(FactorFilter.variable_vanishing(spec["var"]))
+        elif kind == "poly_match":
+            filters.append(FactorFilter.poly_match(
+                spec.get("name", spec["text"]), spec["text"], varnames,
+                field))
+        else:
+            raise ElimError(f"unknown filter type {kind!r}")
+    return root, filters
 
 
 def solve_system(root: EliminationNode,
@@ -651,6 +558,8 @@ def solve_system(root: EliminationNode,
 
 
 def _dedup_solutions(solutions):
+    # distinct leaves may share solutions: a coordinate factor and the
+    # multivariate rest of one resultant can vanish at one point
     seen = set()
     out = []
     for rec in solutions:

@@ -663,37 +663,29 @@ class FieldAutomorphism:
 def field_from_doc(doc) -> NumberField:
     """Build a tower field from {"vars": [...], "minpolys": [...]}.
 
-    Each minimal polynomial is given as text in a single variable, e.g.
+    Each minimal polynomial is given as text in one variable, the one
+    identifier that names no generator of the levels below, whose names
+    may appear in its coefficients, e.g.
     {"vars": ["eta", "zeta"],
-     "minpolys": ["t^4-2*t^3+t^2-2*t-2", "z^2+z+1"]}.
+     "minpolys": ["t^4-2*t^3+t^2-2*t-2", "z^2+z+1"]} or
+    {"vars": ["a", "b"], "minpolys": ["t^2-2", "s^2-a"]}.
     """
-    from .multipoly import parse_poly
+    from .multipoly import _tokenize, parse_poly
     names = list(doc["vars"])
     texts = list(doc["minpolys"])
     if len(names) != len(texts):
         raise FieldError("vars and minpolys must have equal length")
     field = QQ
     for name, text in zip(names, texts):
-        var = _poly_text_variable(text)
-        p = parse_poly(text, (var,), field)
-        field = NumberField(name, p.univariate_coeffs(var), field)
+        gens = {f.name for f in tower(field)}
+        found = sorted({t for t in _tokenize(text)
+                        if t.isidentifier() and t not in gens})
+        if len(found) != 1:
+            raise FieldError(
+                f"expected exactly one variable in {text!r}, found {found}")
+        p = parse_poly(text, tuple(found), field)
+        field = NumberField(name, p.univariate_coeffs(found[0]), field)
     return field
-
-
-def _poly_text_variable(text: str) -> str:
-    names = set()
-    cur = ""
-    for ch in text + " ":
-        if ch.isalpha() or ch == "_" or (cur and ch.isdigit()):
-            cur += ch
-        else:
-            if cur and not cur.isdigit():
-                names.add(cur)
-            cur = ""
-    if len(names) != 1:
-        raise FieldError(
-            f"expected exactly one variable in {text!r}, found {sorted(names)}")
-    return names.pop()
 
 
 def element_from_doc(field, data):

@@ -27,11 +27,9 @@ class CosetTable:
     right multiplication by the generator g.
     """
 
-    def __init__(self, generators: Sequence[str],
-                 action, subgroup_gens: Sequence[GroupWord]):
+    def __init__(self, generators: Sequence[str], action):
         self.generators = tuple(generators)
         self.action = {g: tuple(action[g]) for g in self.generators}
-        self.subgroup_gens = tuple(subgroup_gens)
         n = len(next(iter(self.action.values()))) if self.action else 1
         self.n_cosets = n
         for g, perm in self.action.items():
@@ -239,4 +237,4 @@ def todd_coxeter(p: Presentation,
         action[g] = perm
     if not gens:
         action = {}
-    return CosetTable(gens, action, sub_words)
+    return CosetTable(gens, action)

@@ -4,15 +4,14 @@ Certifies singularity types from exact data: multiplicity and tangent cone,
 Newton-segment certificates for ordinary cusps (type A2) and the deeper
 cuspidal type E6 (local model u^3 = v^4), truncated integer-exponent branch
 expansions for germs whose branches are all smooth, the composite
-three-branch type with pairwise contact orders (2,2,3), tangent-line
-concurrency, and projective smoothness certificates on one disjoint cover
-of the plane: the point (1:0:0), the line z = 0 and the chart z = 1.
+three-branch type with pairwise contact orders (2,2,3), and projective
+smoothness certificates on one disjoint cover of the plane: the point
+(1:0:0), the line z = 0 and the chart z = 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from . import fields as fl
 from .factoring import irreducible_factors, poly_gcd
@@ -470,54 +469,6 @@ def _contact_order(b1: BranchExpansion, b2: BranchExpansion, field):
     return next(k for k, (c1, c2) in enumerate(zip(b1.coeffs, b2.coeffs),
                                                start=1)
                 if field.coerce(c1) != field.coerce(c2))
-
-
-# ---------------------------------------------------------------------------
-# tangent lines and concurrency
-# ---------------------------------------------------------------------------
-
-def tangent_lines_and_concurrency(f: MultiPoly, points: Sequence):
-    """Unique tangent line at each singular point; concurrency of 3 lines.
-
-    `f` is homogeneous in 3 variables; each point is a projective triple
-    with a perfect-power tangent cone at it.  Returns (lines, concurrent)
-    where each line is a coefficient triple on the variables of f.
-    """
-    if len(f.vars) != 3:
-        raise GermError("projective polynomial must have 3 variables")
-    lines = [_tangent_line_at(f, p) for p in points]
-    return lines, lines_concurrent(lines)
-
-
-def _tangent_line_at(f: MultiPoly, point):
-    from .curves import projective_germ
-    germ = projective_germ(f, point)
-    m, cone, is_power, L = multiplicity_and_cone(germ)
-    if not is_power:
-        raise GermError("point has a non-unique tangent line")
-    field = germ.field
-    i = next(k for k in (0, 1, 2) if point[k])
-    j, k = [t for t in (0, 1, 2) if t != i]
-    a, b = germ.point
-    cu = L.terms.get((1, 0), field.zero())
-    cv = L.terms.get((0, 1), field.zero())
-    # affine line cu*(x_j - a*x_i) + cv*(x_k - b*x_i) = 0, homogenized
-    coeffs = [field.zero()] * 3
-    coeffs[j] = cu
-    coeffs[k] = cv
-    coeffs[i] = -(cu * a + cv * b)
-    return tuple(coeffs)
-
-
-def _det3(rows):
-    (a, b, c), (d, e, f_), (g, h, i) = rows
-    return a * (e * i - f_ * h) - b * (d * i - f_ * g) + c * (d * h - e * g)
-
-
-def lines_concurrent(lines) -> bool:
-    if len(lines) != 3:
-        raise GermError("concurrency test needs exactly 3 lines")
-    return not _det3([tuple(r) for r in lines])
 
 
 # ---------------------------------------------------------------------------

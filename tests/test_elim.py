@@ -10,7 +10,7 @@ from exactcurves.elim import (ElimError, EliminationNode, FactorFilter,
                               expand_children, make_root, search,
                               solve_system, system_from_doc)
 from exactcurves.fields import QQ, NumberField, tower
-from exactcurves.multipoly import parse_poly
+from exactcurves.multipoly import leading_term, parse_poly
 
 V2 = ("x", "y")
 
@@ -61,6 +61,17 @@ def test_zero_resultant_reported_unresolved(gens):
     assert [a["event"] for a in rep["audit"]] == ["zero_resultant"]
 
 
+def test_multivariate_resultant_factors_are_squarefree():
+    # Res_z = x*(y-1)^2*(y+1): the coordinate factor x is peeled and the
+    # univariate rest is factored exactly
+    V3 = ("x", "y", "z")
+    root = make_root(V3, [P("z", V3), P("z + x*(y-1)^2*(y+1)", V3)])
+    (res,) = eliminate_step(root, root.gens[0], "z")
+    assert sorted(f.to_text() for f in res["factors"]) == \
+        ["x", "y + -1", "y + 1"]
+    assert not res["unresolved"]
+
+
 def test_eliminate_step_pivot_errors():
     root = make_root(V2, [P("y^2 - 1"), P("x - y")])
     with pytest.raises(ElimError):
@@ -102,6 +113,33 @@ def test_expand_children_all_filtered_closes_node():
     kids = expand_children(root, root.gens[0], "y", res, flts, audit)
     assert kids == []
     assert root.status == "closed"
+
+
+def test_no_two_children_share_a_generator_set():
+    # both resultants split into y - 1 and y - 3 (and y - 5); the choices
+    # (y-1, y-3) and (y-3, y-1) and the choices that repeat a carried
+    # generator up to a scalar give one child each
+    gens = [P("x - y"), P("(x-1)*(x-3)"), P("(x-1)*(x-3)*(x-5)"),
+            P("2*y - 2")]
+    rep = solve_system(make_root(V2, gens), order=["x"])
+    assert rep["audit"][0]["event"] == "expanded"
+    assert rep["audit"][0]["children"] == 4
+    assert rep["nodes_expanded"] == 5
+    keys = [frozenset(g * (1 / leading_term(g)[1]) for g in n.gens)
+            for n in rep["leaves"]]
+    assert len(keys) == len(set(keys)) == 4
+    assert assignments(rep) == [{"x": Fraction(1), "y": Fraction(1)}]
+
+
+def test_overlapping_leaves_report_one_solution():
+    # Res_z = x*(x + y) splits into the children {y, x} and {y, x + y},
+    # and both reach (0, 0, 1)
+    V3 = ("x", "y", "z")
+    gens = [P("z - 1", V3), P("z*x*(x + y)", V3), P("y", V3)]
+    rep = solve_system(make_root(V3, gens), order=["z", "y"])
+    assert len(rep["solved"]) == 2
+    assert assignments(rep) == [
+        {"x": Fraction(0), "y": Fraction(0), "z": Fraction(1)}]
 
 
 def test_variable_vanishing_filter():
@@ -182,7 +220,8 @@ def test_back_substitute_requires_solved_leaf():
 def test_system_from_doc():
     doc = {"vars": ["x", "y"], "field": None,
            "polys": ["x - y", "x^2 + y^2 - 1"]}
-    root = system_from_doc(doc)
+    root, filters = system_from_doc(doc)
+    assert filters == []
     rep = solve_system(root)
     assert len(rep["solutions"]) == 1  # the two conjugate roots of 2y^2=1
     s = rep["solutions"][0]

@@ -348,6 +348,17 @@ def test_field_from_doc_and_element_roundtrip():
                             ["-1696", "1130", "-1270", "437"]) == r16
 
 
+def test_field_from_doc_relative_minimal_polynomial():
+    # b^2 = a over Q(a), a^2 = 2: the level's variable is s, the one
+    # identifier that names no generator below
+    K = field_from_doc({"vars": ["a", "b"], "minpolys": ["t^2-2", "s^2-a"]})
+    assert [f.name for f in tower(K)] == ["a", "b"]
+    b, a = K.gen(), K.coerce(K.base.gen())
+    assert b * b == a and a * a == 2
+    with pytest.raises(FieldError):
+        field_from_doc({"vars": ["a", "b"], "minpolys": ["t^2-2", "s^2-r"]})
+
+
 # -- property suite: field axioms (>= 100 randomized cases) ------------------
 
 def _random_element(field, rng, depth=0):

@@ -1,13 +1,15 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every definition in the package is read by the package itself, so
-none is kept only for the tests."""
+every definition in the package is read by the package itself, so none is
+kept only for the tests, and every attribute the package stores is read
+somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "exactcurves"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "exactcurves"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 
 # Definitions the package itself does not read, each with the reason it
@@ -99,6 +101,34 @@ def unread_definitions(sources):
     return sorted(unread)
 
 
+def write_only_attributes(stores, readers):
+    """Attributes, as "module.attr", that a module of `stores` (module name
+    -> text) assigns and that no module of `stores` or `readers` reads,
+    whether as an attribute or as the name string of `getattr` or
+    `hasattr`.  An augmented assignment reads its target."""
+    reads = set()
+    for text in [*stores.values(), *readers.values()]:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.AugAssign) and \
+                    isinstance(node.target, ast.Attribute):
+                reads.add(node.target.attr)
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Name) and \
+                    node.func.id in ("getattr", "hasattr") and \
+                    len(node.args) > 1 and \
+                    isinstance(node.args[1], ast.Constant):
+                reads.add(node.args[1].value)
+    return sorted({f"{mod}.{node.attr}"
+                   for mod, text in stores.items()
+                   for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Store)
+                   and node.attr not in reads})
+
+
 def _package_unread():
     return unread_definitions({
         ".".join(p.relative_to(SRC).with_suffix("").parts): p.read_text()
@@ -144,3 +174,29 @@ def test_allow_list_has_no_stale_entry():
     # an entry whose name is gone from src/, or now read there, goes
     stale = set(ALLOWED_UNREAD) - set(_package_unread())
     assert sorted(stale) == []
+
+
+def test_checker_finds_a_write_only_attribute():
+    # `lost` is stored and never read; `kept` is read in another module,
+    # `count` by its augmented assignment, `label` through getattr and
+    # `flag` through hasattr
+    stores = {
+        "a": ("class Box:\n"
+              "    def __init__(self):\n"
+              "        self.lost = 1\n        self.kept = 2\n"
+              "        self.count = 0\n        self.label = 'x'\n"
+              "        self.flag = True\n"
+              "    def bump(self):\n        self.count += 1\n"),
+    }
+    readers = {"t": ("from a import Box\nb = Box()\nprint(b.kept)\n"
+                     "print(getattr(b, 'label'), hasattr(b, 'flag'))\n")}
+    assert write_only_attributes(stores, readers) == ["a.lost"]
+
+
+def test_no_write_only_attribute_in_src():
+    def texts(paths):
+        return {str(p.relative_to(REPO)): p.read_text() for p in paths}
+    stores = texts(SRC.rglob("*.py"))
+    readers = texts([*(REPO / "tests").rglob("*.py"),
+                     *(REPO / "benchmark").rglob("*.py")])
+    assert write_only_attributes(stores, readers) == []

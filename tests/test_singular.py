@@ -8,10 +8,11 @@ import pytest
 from exactcurves import factoring, singular
 from exactcurves.fields import NumberField, QQ
 from exactcurves.multipoly import MultiPoly, parse_poly
+from exactcurves.curves import lines_concurrent, tangent_lines_and_concurrency
 from exactcurves.singular import (
     CurveGerm, GermError, UnresolvedGerm, certify_composite,
-    certify_smooth_projective, certify_type, lines_concurrent,
-    multiplicity_and_cone, puiseux_branches, tangent_lines_and_concurrency,
+    certify_smooth_projective, certify_type, multiplicity_and_cone,
+    puiseux_branches,
 )
 
 UV = ("u", "v")
