@@ -119,6 +119,13 @@ class EliminationNode:
 
 def make_root(varnames: Sequence[str], gens: Sequence[MultiPoly],
               field=QQ) -> EliminationNode:
+    """The root node of the system `gens` in the variables `varnames`; a
+    generator that involves any other variable is refused."""
+    for g in gens:
+        for v in g.vars:
+            if v not in varnames and g.degree_in(v) > 0:
+                raise ElimError(f"generator {g.to_text()} involves {v}, "
+                                f"which is not among {tuple(varnames)}")
     gens = tuple(g.to_field(field) for g in gens)
     return EliminationNode(gens, field, tuple(varnames))
 

@@ -143,29 +143,25 @@ def smith_normal_form(M: Sequence[Sequence[int]]):
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
-    """Invariants only (no generator images): uses a sparse fast path that
-    first eliminates unit pivots, so it scales to the large unsimplified
-    kernel presentations produced by the derived-series walk."""
+    """Invariants only (no generator images), by the sparse elimination of
+    `_invariants_sparse`, so it scales to the large unsimplified kernel
+    presentations produced by the derived-series walk.  A row and its
+    negation span the same lattice, so each row is kept once up to sign."""
     n = len(p.generators)
     if n == 0:
         return AbelianInvariants(0, ())
     index = {g: i for i, g in enumerate(p.generators)}
-    rows = []
-    seen = set()
+    keys = []
     for r in p.relators:
         row = {}
         for name, e in r.letters:
             j = index[name]
             row[j] = row.get(j, 0) + e
-        row = {j: v for j, v in row.items() if v}
-        if not row:
-            continue
-        key = tuple(sorted(row.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append(row)
-    return _invariants_sparse(rows, n)
+        key = tuple(sorted((j, v) for j, v in row.items() if v))
+        if key:
+            keys.append(key if key[0][1] > 0 else
+                        tuple((j, -v) for j, v in key))
+    return _invariants_sparse([dict(k) for k in dict.fromkeys(keys)], n)
 
 
 # Rows examined per unit pivot: the restricted Markowitz search looks only
@@ -174,16 +170,56 @@ MARKOWITZ_ROWS = 4
 
 
 def _invariants_sparse(rows, ncols) -> AbelianInvariants:
-    """Cokernel invariants of Z^ncols / rowspace for sparse integer rows.
+    """Cokernel invariants of Z^ncols / rowspace for sparse integer rows
+    (dicts column -> value, which it modifies).
 
-    Unit (+-1) pivots are eliminated first.  Rows holding a unit entry are
-    kept in buckets by length, and each pivot is the unit entry of least
-    Markowitz cost (predicted fill-in) among the MARKOWITZ_ROWS shortest
-    such rows.  The non-unit remnant is deduplicated and folded row by row
-    into a reduced row Hermite normal form, which keeps its entries small
-    (Havas, Holt and Rees 1993); the Smith form only sees that HNF, which
-    has at most ncols rows."""
-    rows = {i: dict(r) for i, r in enumerate(rows)}
+    Level by level: the rows are sorted by length, ties in input order, and
+    unit pivots are eliminated on the shorter half only (`_unit_eliminate`);
+    every other row is then reduced in one pass (`_reduce_packed`), and the
+    next level starts from those rows.  A level whose short half has no unit
+    entry eliminates on all of its rows instead, and its non-unit remnant is
+    folded row by row into a reduced row Hermite normal form, which keeps
+    its entries small (Havas, Holt and Rees 1993); the Smith form only sees
+    that HNF, which has at most ncols rows."""
+    rows = sorted(rows, key=len)
+    eliminated = 0
+    while True:
+        half = (len(rows) + 1) // 2
+        pivots, rest = _unit_eliminate(rows[:half])
+        if not pivots:
+            break
+        eliminated += len(pivots)
+        rows = sorted(_reduce_packed(pivots, rest + rows[half:]), key=len)
+    pivots, rows = _unit_eliminate(rows)
+    eliminated += len(pivots)
+    live_cols = sorted({j for r in rows for j in r})
+    colmap = {j: k for k, j in enumerate(live_cols)}
+    remnant = set()
+    for r in rows:
+        row = [0] * len(live_cols)
+        for j, v in r.items():
+            row[colmap[j]] = v
+        remnant.add(tuple(row))
+    hnf = {}
+    for row in sorted(remnant):
+        _hnf_insert(hnf, list(row))
+    diag = smith_normal_form([hnf[c] for c in sorted(hnf)])[0] if hnf else []
+    torsion = [d for d in diag if d > 1]
+    return AbelianInvariants(ncols - eliminated - len(diag), torsion)
+
+
+def _unit_eliminate(rows):
+    """Eliminate unit (+-1) pivots from sparse rows, which it modifies.
+
+    Rows holding a unit entry are kept in buckets by length, and each pivot
+    is the unit entry of least Markowitz cost (predicted fill-in) among the
+    MARKOWITZ_ROWS shortest such rows; its column is cleared from every
+    other row by row operations, so the cokernel is unchanged.  Returns
+    (pivots, rest): the pivots in the order taken, each as (column, value,
+    row less that entry), and the nonzero rows left, which hold no unit
+    entry and no pivot column.  A pivot row holds no earlier pivot
+    column."""
+    rows = dict(enumerate(rows))
     col_rows = {}   # col -> set of row ids
     for i, r in rows.items():
         for j in r:
@@ -207,7 +243,7 @@ def _invariants_sparse(rows, ncols) -> AbelianInvariants:
 
     for i in rows:
         file(i)
-    unit_pivots = 0
+    pivots = []
     while buckets:
         shortest = itertools.islice(itertools.chain.from_iterable(
             buckets[n] for n in sorted(buckets)), MARKOWITZ_ROWS)
@@ -220,8 +256,6 @@ def _invariants_sparse(rows, ncols) -> AbelianInvariants:
         for j in pivot:
             col_rows[j].discard(i0)
         v0 = pivot.pop(j0)
-        # clear column j0 from every other row (row operations only; the
-        # cokernel is unchanged), then drop the pivot row and column
         for i in col_rows.pop(j0):
             unfile(i)
             r = rows[i]
@@ -239,24 +273,56 @@ def _invariants_sparse(rows, ncols) -> AbelianInvariants:
                 file(i)
             else:
                 del rows[i]
-        unit_pivots += 1
-    # remnant on the columns still present
-    live_cols = sorted(j for j, s in col_rows.items() if s)
-    free_untouched = ncols - unit_pivots - len(live_cols)
-    colmap = {j: k for k, j in enumerate(live_cols)}
-    remnant = set()
-    for r in rows.values():
-        row = [0] * len(live_cols)
-        for j, v in r.items():
-            row[colmap[j]] = v
-        remnant.add(tuple(row))
-    hnf = {}
-    for row in sorted(remnant):
-        _hnf_insert(hnf, list(row))
-    diag = smith_normal_form([hnf[c] for c in sorted(hnf)])[0] if hnf else []
-    torsion = [d for d in diag if d > 1]
-    rank = len(live_cols) - len(diag) + free_untouched
-    return AbelianInvariants(rank, torsion)
+        pivots.append((j0, v0, pivot))
+    return pivots, list(rows.values())
+
+
+def _reduce_packed(pivots, rows):
+    """The rows reduced by the pivots of `_unit_eliminate`, as dicts on the
+    columns no pivot took, each once up to sign and none zero.
+
+    The pivot rows are back-substituted, last first, so that pivot column
+    c reads w0*e_c + q_c with w0 = +-1 and q_c on the live columns; a row r
+    becomes r_live - sum over pivot columns c of r[c]*w0*q_c.  This keeps
+    the cokernel: the pivot block is unit triangular, so the map
+    Z^n -> Z^live sending e_c to -w0*q_c is onto and its kernel is spanned
+    by the pivot rows.  Each row is summed as one int with a slot of W bits
+    per live column (Kronecker substitution, Harvey 2009); no reduced entry
+    exceeds (L1 norm of r) * max(1, max |q|) in size, which W holds as a
+    signed slot, so every slot reads back exactly."""
+    q = {}
+    for c, w0, row in reversed(pivots):
+        for c2 in [j for j in row if j in q]:
+            f = row.pop(c2) * q[c2][0]
+            for j, v in q[c2][1].items():
+                nv = row.get(j, 0) - f * v
+                if nv:
+                    row[j] = nv
+                else:
+                    del row[j]
+        q[c] = (w0, row)
+    live = sorted({j for r in rows for j in r if j not in q}
+                  | {j for _w0, row in q.values() for j in row})
+    qmax = max((abs(v) for _w0, row in q.values() for v in row.values()),
+               default=1)
+    bound = max((sum(map(abs, r.values())) for r in rows), default=0) * qmax
+    width = bound.bit_length() // 8 + 1      # bytes: bound < 2^(8*width-1)
+    weight = {j: 1 << (8 * width * k) for k, j in enumerate(live)}
+    for c, (w0, row) in q.items():
+        weight[c] = -w0 * sum(v * weight[j] for j, v in row.items())
+    packed = dict.fromkeys(abs(sum(v * weight[j] for j, v in r.items()))
+                           for r in rows)
+    packed.pop(0, None)
+    # (x + top) ^ top turns each signed slot into its two's complement
+    top = int.from_bytes((bytes(width - 1) + b"\x80") * len(live), "little")
+    size = width * len(live)
+    out = []
+    for x in packed:
+        b = ((x + top) ^ top).to_bytes(size, "little")
+        out.append({j: v for j, v in zip(live, (
+            int.from_bytes(b[k:k + width], "little", signed=True)
+            for k in range(0, size, width))) if v})
+    return out
 
 
 def _hnf_insert(hnf, row):

@@ -236,6 +236,8 @@ def test_base_field_polynomial_has_two_real_roots():
 #   - resultant oracle/multiplicativity/sign
 #                                   tests/test_multipoly.py   (100 each)
 #   - SNF round trip + shuffles     tests/test_groups.py      (120 + 100)
+#   - sparse invariants against sympy, small and tall
+#                                   tests/test_groups.py      (120 + 100)
 #   - Nielsen-Schreier rank         tests/test_groups.py      (100 cases)
 #   - Artin automorphism/products   tests/test_groups.py      (100 each)
 #   - certificate invariance        tests/test_singular.py    (100 cases)
@@ -261,7 +263,8 @@ def test_property_suites_present_with_100_cases():
             ("test_smoothness_matches_groebner", 100)],
         "test_elim.py": [("test_elim_soundness_planted", 100)],
         "test_groups.py": [
-            ("test_sparse_invariants_match_smith_forms", 100)],
+            ("test_sparse_invariants_match_smith_forms", 100),
+            ("test_sparse_invariants_of_tall_matrices", 100)],
         "test_factoring.py": [("test_factor_matches_sympy", 100),
                               ("test_gcd_and_squarefree_match_sympy", 100)],
     }

@@ -279,6 +279,13 @@ def test_node_invariants():
         EliminationNode([P("0")], QQ, V2)
 
 
+def test_root_refuses_a_variable_outside_the_system():
+    with pytest.raises(ElimError, match=r"involves y"):
+        make_root(("x",), [P("x*y - 1")])
+    # a declared but unused variable is fine
+    assert make_root(("x",), [P("x - 3")]).remaining_vars == ("x",)
+
+
 # -- the curve-corpus derivation ---------------------------------------------
 
 def test_c82_offaxis_points_rederived():

@@ -16,6 +16,8 @@ from exactcurves.groups import (
     quotient_by_relations, rs_kernel, smith_normal_form, standard_target,
     todd_coxeter, tietze_simplify, verify_g0_relations, word,
 )
+from exactcurves.groups import abelian
+from exactcurves.groups.abelian import _reduce_packed
 from exactcurves.groups.burau import G0Error, _is_identity_in_b3
 
 
@@ -419,20 +421,122 @@ def _random_relation_matrix(rng, kind):
     return rows
 
 
-@pytest.mark.parametrize("seed", range(120))
-def test_sparse_invariants_match_smith_forms(seed):
+def _invariants_checked(M, got=None):
+    """`got`, by default the abelianization of the relation matrix M,
+    asserted equal to the invariants read off the dense Smith form of M and
+    off sympy's."""
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-    rng = random.Random(seed)
-    kind = ("rank-deficient", "non-unit", "duplicates")[seed % 3]
-    M = _random_relation_matrix(rng, kind)
     c = len(M[0])
-    got = abelianization(_relation_presentation(M))
+    if got is None:
+        got = abelianization(_relation_presentation(M))
     diag = smith_normal_form(M)[0]
     assert got == AbelianInvariants(c - len(diag), [d for d in diag if d > 1])
     S = sympy_snf(Matrix(M), domain=ZZ)
     ref = sorted(abs(S[i, i]) for i in range(min(S.shape)) if S[i, i])
     assert got == AbelianInvariants(c - len(ref), [d for d in ref if d > 1])
+    return got
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_sparse_invariants_match_smith_forms(seed):
+    rng = random.Random(seed)
+    kind = ("rank-deficient", "non-unit", "duplicates")[seed % 3]
+    _invariants_checked(_random_relation_matrix(rng, kind))
+
+
+def _schreier_like_matrix(rng):
+    """A tall sparse relation matrix shaped like a Schreier one: 4 to 5 rows
+    per column, over 90% of the entries +-1.  Two rows in three have two
+    entries (more for a block below) on the first columns only; the others
+    have five to eight, one of them on the last `late` columns, so those
+    columns are left to a later level of the sparse invariants.  Each row
+    is a sum of blocks: single entries, or (v, -v) pairs and, when m > 0,
+    runs of m equal entries +-1, so that every row sum is 0 mod m and the
+    cokernel maps onto Z/m (onto Z when m = 0)."""
+    c = rng.randint(8, 14)
+    late = rng.randint(2, c // 2)
+    m = rng.choice((None, 0, 2, 3, 4))
+    rows = []
+    for i in range(rng.randint(4 * c, 5 * c)):
+        if i % 3:
+            cols = rng.sample(range(c - late), c - late)
+            n = 2
+        else:
+            cols = [rng.randrange(c - late, c)]
+            cols += rng.sample([j for j in range(c) if j != cols[0]], c - 1)
+            n = rng.randint(5, 8)
+        values = []
+        while len(values) < n:
+            v = (rng.choice((1, -1)) if rng.random() < 0.95
+                 else rng.choice((2, -2, 3, -3)))
+            block = ([v] if m is None else
+                     [v // abs(v)] * m if m and rng.random() < 0.3
+                     else [v, -v])
+            if len(values) + len(block) > len(cols):
+                break
+            values += block
+        row = [0] * c
+        for j, v in zip(cols, values):
+            row[j] = v
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_sparse_invariants_of_tall_matrices(seed, monkeypatch):
+    M = _schreier_like_matrix(random.Random(seed))
+    entries = [v for row in M for v in row if v]
+    assert len(M) >= 4 * len(M[0])
+    assert sum(v in (1, -1) for v in entries) >= 0.9 * len(entries)
+    # the short-half split and the packed pass run on at least two levels
+    packed_levels = []
+
+    def reduce_packed(pivots, rows):
+        packed_levels.append(len(pivots))
+        return _reduce_packed(pivots, rows)
+    monkeypatch.setattr(abelian, "_reduce_packed", reduce_packed)
+    _invariants_checked(M)
+    assert len(packed_levels) >= 2
+
+
+def _planted_sum_rows(t):
+    """Pivot rows e_c - e_3 (c = 0, 1, 2), a row (a0, a1, a2, 0) of positive
+    entries summing to t, which reduces to t*e_3 and so meets the slot
+    bound (L1 norm t, times max |q| = 1) with equality, and a row that
+    reduces to zero.  The cokernel is Z/t."""
+    a = [t // 3, t // 3, t - 2 * (t // 3)]
+    return [[1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1], a + [0],
+            [1, 1, -2, 0]]
+
+
+@pytest.mark.parametrize("t", [2**7 - 1, 2**7, 2**15 - 1, 2**15,
+                               2**63 - 1, 2**63])
+def test_packed_pass_reads_back_entries_at_the_slot_bound(t):
+    # 2^(W-1) - 1 is the largest entry a slot of W bits holds, and 2^(W-1)
+    # needs the next width.  Rows come back once up to sign, signed so that
+    # their last nonzero entry is positive.
+    row = dict(enumerate(_planted_sum_rows(t)[3][:3]))
+    negated = {j: -v for j, v in row.items()}
+    for q in (-1, 1):
+        pivots = [(c, 1, {3: q}) for c in range(3)]
+        assert _reduce_packed(pivots, [row, negated]) == [{3: t}]
+    # a presentation would spell out t letters, so the rows go in directly
+    rows = _planted_sum_rows(t)
+    got = abelian._invariants_sparse(
+        [{j: v for j, v in enumerate(r) if v} for r in rows], 4)
+    assert _invariants_checked(rows, got) == AbelianInvariants(0, [t])
+
+
+def test_rows_reducing_to_negatives_are_kept_once():
+    # columns 0, 1 are pivots (e_0 + e_3, e_1 - e_2); the long rows are not
+    # negatives of each other but reduce to 3*e_2 - e_3 and e_3 - 3*e_2,
+    # which are kept once, with the last nonzero entry positive
+    r1, r2 = {0: 1, 1: 1, 2: 2}, {0: 1, 1: -1, 2: -2, 3: 2}
+    pivots = [(0, 1, {3: 1}), (1, 1, {2: -1})]
+    assert _reduce_packed(pivots, [dict(r1), dict(r2)]) == [{2: -3, 3: 1}]
+    M = [[1, 0, 0, 1], [0, 1, -1, 0], [1, 1, 2, 0], [1, -1, -2, 2]]
+    assert _invariants_checked(M) == AbelianInvariants(1, ())
 
 
 # The level-4 quotient of g_symp once sent the dense remnant of the sparse
@@ -502,7 +606,7 @@ def _in_bounded_child(call, budget):
     return value
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3])
 def test_level4_of_relabelled_presentation(seed):
     assert _in_bounded_child(f"level4_of_relabelled({seed})", 30) == LEVEL4
 
