@@ -11,12 +11,16 @@ levels eta, zeta, w of degrees d1, d2, d3, the basis element
 eta^i * zeta^j * w^k sits at index i + d1*(j + d2*k), so an element of a
 lower level keeps its vector, padded with zeros.  Elements are normalised
 (gcd(den, *num) = 1), so equality and hashing compare tuples.  A product
-is one integer convolution followed by one reduction table per field,
-built when the field is created.  The tower stays as metadata (`name`,
-`base`, `minpoly`, `degree`, `tower`, `common_field`), and `coords` is
-a read-only view: the coordinates over the base field in the power basis
-1, a, a^2, ..., Fractions over Q and base-field elements above, sliced
-from `num`.  Printing and automorphisms read that view.
+is an integer convolution on the expanded index (`_expanded`,
+`_convolve`), then one pass of the field's reduction table, built when
+the field is created, and one gcd (`_contracted`).  Polynomial products
+in `multipoly` sum the convolutions of all term pairs that land on one
+output monomial and contract each sum once, so reduction happens once
+per output coefficient, not once per pair.  The tower stays as metadata
+(`name`, `base`, `minpoly`, `degree`, `tower`, `common_field`), and
+`coords` is a read-only view: the coordinates over the base field in the
+power basis 1, a, a^2, ..., Fractions over Q and base-field elements
+above, sliced from `num`.  Printing and automorphisms read that view.
 
 Gcds, roots and square roots come from `factoring` (`poly_gcd`, and the
 exact factorizer: Zassenhaus over Q, Trager's norm method over towers).
@@ -379,15 +383,11 @@ class FieldElement:
             return NotImplemented
         x, y = pair
         f = x.field
-        spread = f._spread
+        (vx,), dx = _expanded(f, (x,))
+        (vy,), dy = _expanded(f, (y,))
         prod = [0] * f._width
-        ys = [(b, v) for b, v in zip(spread, y.num) if v]
-        for a, u in zip(spread, x.num):
-            if u:
-                for b, v in ys:
-                    prod[a + b] += u * v
-        out, scale = _reduced(f, prod)
-        return FieldElement(f, out, x.den * y.den * scale)
+        _convolve(prod, vx, vy)
+        return _contracted(f, prod, dx * dy)
 
     __rmul__ = __mul__
 
@@ -484,6 +484,38 @@ def _raw(field, num, den):
     x = object.__new__(FieldElement)
     x.field, x.num, x.den = field, num, den
     return x
+
+
+def _expanded(f, xs):
+    """The elements `xs` of field f as integer vectors on the expanded
+    index, over one denominator: (vectors, den) with den the lcm of their
+    denominators.  A vector is the pair (indices, values) of its nonzero
+    entries; two vectors convolve (`_convolve`) without carry."""
+    den = lcm(*[x.den for x in xs])
+    spread, out = f._spread, []
+    for x in xs:
+        s = den // x.den
+        out.append(([a for a, u in zip(spread, x.num) if u],
+                    [u * s for u in x.num if u]))
+    return out, den
+
+
+def _convolve(prod, x, y):
+    """Add the product of the expanded vectors x and y into `prod`, a list
+    of the field's `_width` integers: the sum of any number of products
+    stays exact and unreduced until `_contracted`."""
+    ia, ua = x
+    ib, ub = y
+    for a, u in zip(ia, ua):
+        for b, v in zip(ib, ub):
+            prod[a + b] += u * v
+
+
+def _contracted(f, prod, den):
+    """The normalised element of field f whose expanded vector is `prod`
+    over `den`: one reduction table and one gcd."""
+    out, scale = _reduced(f, prod)
+    return FieldElement(f, out, den * scale)
 
 
 def _reduced(f, prod):

@@ -1,7 +1,11 @@
 """Sparse multivariate polynomials over Q or a number-field tower.
 
 Terms are stored as a dict from exponent tuples to nonzero coefficients.
-Coefficients are Fraction (over Q) or FieldElement.  Resultants use the
+Coefficients are Fraction (over Q) or FieldElement.  Products and
+substitutions go through one multiply-accumulate kernel
+(`_multiply_accumulate`): coefficient products are summed as integers per
+output monomial, and each sum is reduced once, into one Fraction or
+through one pass of the field's reduction table.  Resultants use the
 subresultant polynomial-remainder sequence to keep coefficient growth under
 control; gcds, squarefree decomposition and factoring are univariate views
 of `factoring`.
@@ -10,10 +14,13 @@ of `factoring`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Mapping, Optional, Sequence
 
 from . import factoring
-from .fields import (QQ, FieldElement, FieldError, common_field, tower,
+from .fields import (QQ, FieldElement, FieldError, NumberField,
+                     _contracted, _convolve, _expanded, common_field, tower,
                      up_deg, up_prem, up_trim)
 
 
@@ -125,18 +132,9 @@ class MultiPoly:
         if pair is None:
             return NotImplemented
         a, b = pair
-        terms = {}
-        zero = a.field.zero()
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = terms.get(e, zero) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
         out = MultiPoly.zero(a.vars, a.field)
-        out.terms = terms
+        out.terms = _multiply_accumulate(
+            a.field, [(e, c, b.terms) for e, c in a.terms.items()])
         return out
 
     __rmul__ = __mul__
@@ -243,9 +241,14 @@ class MultiPoly:
         """Substitute variables by polynomials or constants.
 
         Values may be MultiPoly (all sharing one variable list) or field
-        elements / rationals.  Unassigned variables must appear in the target
+        elements / rationals; every key must be a variable of this
+        polynomial.  Unassigned variables must appear in the target
         variable list.
         """
+        stray = sorted(set(assignments) - set(self.vars))
+        if stray:
+            raise PolyError(f"substitution for {stray}, which are not "
+                            f"variables of {self.vars}")
         polys = [v for v in assignments.values() if isinstance(v, MultiPoly)]
         target_vars = polys[0].vars if polys else self.vars
         if any(p.vars != target_vars for p in polys):
@@ -263,25 +266,34 @@ class MultiPoly:
                         target_vars, field.coerce(v), field))
             else:
                 images.append(MultiPoly.var(target_vars, name, field))
-        out = MultiPoly.zero(target_vars, field)
-        # Horner-free: power cache per variable
-        pow_cache = [dict() for _ in self.vars]
-
-        def power(i, k):
-            if k == 0:
-                return MultiPoly.const(target_vars, 1, field)
-            if k in pow_cache[i]:
-                return pow_cache[i][k]
-            p = images[i] ** k
-            pow_cache[i][k] = p
-            return p
-
+        # powers[i][k - 1] is images[i]^k, each one product from the last.
+        # A one-term power shifts and scales a term; the other powers are
+        # multiplied together, and every term goes to one accumulator.
+        powers = [[p] for p in images]
+        origin, one = (0,) * len(target_vars), field.one()
+        unit, products = {origin: one}, []
         for e, c in self.terms.items():
-            term = MultiPoly.const(target_vars, field.coerce(c), field)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            out = out + term
+            c, shift, rest = field.coerce(c), origin, None
+            for pw, k in zip(powers, e):
+                if not k:
+                    continue
+                while len(pw) < k:
+                    pw.append(pw[-1] * pw[0])
+                p = pw[k - 1]
+                if len(p.terms) > 1:
+                    rest = p if rest is None else rest * p
+                    continue
+                if not p.terms:
+                    break
+                (f, a), = p.terms.items()
+                shift = tuple(map(add, shift, f))
+                if a != one:
+                    c = c * a
+            else:
+                products.append((shift, c,
+                                 unit if rest is None else rest.terms))
+        out = MultiPoly.zero(target_vars, field)
+        out.terms = _multiply_accumulate(field, products)
         return out
 
     def eval_point(self, point: Mapping):
@@ -343,6 +355,53 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.to_text()})"
+
+
+def _multiply_accumulate(field, products):
+    """The terms of the sum of c * x^e * q over the (e, c, q) of
+    `products`, each q a term dict over `field`.
+
+    Every coefficient product is an integer product, summed unreduced per
+    output monomial, and each sum is reduced once.  Over Q the numerators
+    of the c share one denominator and those of the q another, and each
+    monomial becomes one Fraction.  Over a number field the coefficients
+    are vectors on the field's expanded index (`fields._expanded`), and
+    each monomial's sum goes through one reduction table and one gcd
+    (`fields._contracted`).  The result equals the sum of the products
+    taken one at a time, since both are the same normalised element.
+    """
+    rights = list({id(q): q for _e, _c, q in products}.values())
+    coeffs = [c for _e, c, _q in products]
+    qcoeffs = [c for q in rights for c in q.values()]
+    number_field = isinstance(field, NumberField)
+    flatten = _expanded if number_field else _numerators
+    (lefts, dl), (flat, dr) = flatten(field, coeffs), flatten(field, qcoeffs)
+    flat = iter(flat)
+    spread = {id(q): [(e, next(flat)) for e in q] for q in rights}
+    acc = {}
+    if not number_field:
+        for (e1, _c, q), u in zip(products, lefts):
+            for e2, v in spread[id(q)]:
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + u * v
+        return {e: Fraction(s, dl * dr) for e, s in acc.items() if s}
+    width = field._width
+    for (e1, _c, q), u in zip(products, lefts):
+        for e2, v in spread[id(q)]:
+            e = tuple(map(add, e1, e2))
+            prod = acc.get(e)
+            if prod is None:
+                prod = acc[e] = [0] * width
+            _convolve(prod, u, v)
+    terms = {e: _contracted(field, prod, dl * dr) for e, prod in acc.items()}
+    return {e: c for e, c in terms.items() if c}
+
+
+def _numerators(_field, xs):
+    """The rationals `xs` as integers over one denominator, the lcm of
+    theirs: (numerators, den), as `fields._expanded` gives vectors."""
+    den = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,8 @@ def test_base_field_polynomial_has_two_real_roots():
 #                                   tests/test_fields.py      (100 cases)
 #   - resultant oracle/multiplicativity/sign
 #                                   tests/test_multipoly.py   (100 each)
+#   - products, powers and substitution against sympy
+#                                   tests/test_multipoly.py   (100 cases)
 #   - SNF round trip + shuffles     tests/test_groups.py      (120 + 100)
 #   - sparse invariants against sympy, small and tall
 #                                   tests/test_groups.py      (120 + 100)
@@ -257,7 +259,8 @@ def test_property_suites_present_with_100_cases():
         "test_multipoly.py": [
             ("test_resultant_matches_sylvester_oracle", 100),
             ("test_resultant_multiplicative", 100),
-            ("test_resultant_swap_sign", 100)],
+            ("test_resultant_swap_sign", 100),
+            ("test_products_match_sympy", 100)],
         "test_singular.py": [
             ("test_certificate_invariant_under_linear_change", 100),
             ("test_smoothness_matches_groebner", 100)],

@@ -451,21 +451,27 @@ def _sparse_element(field, rng):
                           for _ in range(field.degree)])
 
 
-def _sympy_tower(field):
-    """sympy's QQ[levels] in lex order, top level first, the map of values
-    into it, and the minimal polynomials of the levels.  Their leading
-    monomials are powers of distinct generators, so they form a Groebner
-    basis, and the remainder by them is the reduced form."""
+def _sympy_tower(field, varnames=()):
+    """sympy's QQ[levels, varnames] in lex order, top level first, the map
+    of values (and of MultiPolys in `varnames`) into it, and the minimal
+    polynomials of the levels.  Their leading monomials are powers of
+    distinct generators, so they form a Groebner basis, and the remainder
+    by them is the reduced form."""
     import sympy
     from sympy.polys.orderings import lex
     from sympy.polys.rings import ring
     levels = tower(field)[::-1]
-    R, *gens = ring(",".join(f.name for f in levels), sympy.QQ, lex)
-    gen = {f.name: g for f, g in zip(levels, gens)}
+    names = [f.name for f in levels] + list(varnames)
+    R, *gens = ring(",".join(names), sympy.QQ, lex)
+    gen = dict(zip(names, gens))
 
     def image(x):
         if isinstance(x, (int, Fraction)):
             return R(sympy.QQ(x.numerator, x.denominator))
+        if isinstance(x, MultiPoly):
+            return sum((image(c) * R.mul(*(gen[v] ** k
+                                           for v, k in zip(x.vars, e)))
+                        for e, c in x.terms.items()), R.zero)
         return sum((image(c) * gen[x.field.name] ** i
                     for i, c in enumerate(x.coords)), R.zero)
 

@@ -11,6 +11,7 @@ from exactcurves.multipoly import (
     MultiPoly, PolyError, exact_div, factor_bounded, parse_poly,
     poly_gcd_univ, resultant, squarefree_decomposition, squarefree_part,
 )
+from test_fields import _sparse_element, _sympy_tower, make_K2
 
 XYZ = ("x", "y", "z")
 
@@ -82,6 +83,86 @@ def test_substitute_into_other_variables():
     uv = ("u", "v")
     g = f.substitute({"x": parse_poly("u+v", uv), "y": parse_poly("u-v", uv)})
     assert g == parse_poly("u^2 - v^2", uv)
+
+
+def test_substitute_rejects_keys_that_are_not_variables():
+    # a misspelled variable used to be ignored, returning f unchanged
+    f = parse_poly("x^2 + y", ("x", "y"))
+    with pytest.raises(PolyError, match="'X'"):
+        f.substitute({"X": 1})
+    with pytest.raises(PolyError, match="'z'"):
+        f.substitute({"x": 2, "z": parse_poly("x", ("x", "y"))})
+
+
+def _sparse_poly(field, varnames, rng, nterms=4, max_deg=2):
+    """A random polynomial whose coefficients come from `_sparse_element`:
+    mixed denominators, some zero coordinates at every level."""
+    return MultiPoly(varnames, {
+        tuple(rng.randint(0, max_deg) for _ in varnames):
+            _sparse_element(field, rng) for _ in range(nterms)}, field)
+
+
+def _reduce_coefficients(p, minpolys, n):
+    """The remainder of a sympy polynomial `p` by the minimal polynomials,
+    taken for the coefficient of each monomial in its last n variables on
+    its own: the minimal polynomials hold none of them, and sympy's `rem`
+    slows down quadratically in the number of terms."""
+    ring, k = p.ring, p.ring.ngens - n
+    parts = {}
+    for m, c in p.items():
+        parts.setdefault(m[k:], {})[m[:k] + (0,) * n] = c
+    out = {}
+    for tail, part in parts.items():
+        for m, c in ring(part).rem(minpolys).items():
+            out[m[:k] + tail] = c
+    return ring(out)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_products_match_sympy(seed):
+    # products, powers and substitutions over Q and the towers of depth
+    # 1-3 against sympy, reduced modulo the minimal polynomials; every
+    # other pair of cases plants the cancellation (p + q)(p - q) = p^2 - q^2
+    rng = random.Random(60_000 + seed)
+    levels = (QQ, *make_K2())
+    F = levels[seed % 4]
+    names = XYZ[:2 + seed // 4 % 2]
+    image, minpolys = _sympy_tower(F, names)
+
+    def reduced(theirs):
+        return _reduce_coefficients(theirs, minpolys, len(names))
+
+    def same(ours, theirs):
+        # a sum that cancels leaves no zero coefficient behind
+        assert all(ours.terms.values())
+        return reduced(theirs) == image(ours)
+
+    # fewer terms and lower powers at depth 3, where sympy's reduction
+    # dominates the run
+    deep = seed % 4 == 3
+    p, q, g = (_sparse_poly(F, names, rng, nterms=3 if deep else 4)
+               for _ in range(3))
+    a, b = (p + q, p - q) if seed // 8 % 2 else (p, q)
+    assert same(a * b, image(a) * image(b))
+    k = rng.randint(0, 2 if deep else 4)
+    power = image(F.one())
+    for _ in range(k):
+        # reduced at each step: unreduced tower powers swell in sympy
+        power = reduced(power * image(a))
+    assert same(a ** k, power)
+    # x -> a polynomial, y -> a monomial whose coefficient may lie in a
+    # lower level; z, when present, stays
+    x, y = (MultiPoly.var(names, v, F) for v in names[:2])
+    low = levels[rng.randint(0, seed % 4)]
+    mono = MultiPoly(names, {tuple(rng.randint(0, 2) for _ in names):
+                             _sparse_element(low, rng) or 1}, low)
+    # sympy substitutes into each monomial of g, reduced before it meets
+    # the coefficient: composing image(g) whole swells like the powers
+    subs = [(image(x), image(q)), (image(y), image(mono))]
+    theirs = sum((image(c) * reduced(image(MultiPoly(names, {e: 1}))
+                                     .compose(subs))
+                  for e, c in g.terms.items()), image(F.zero()))
+    assert same(g.substitute({"x": q, "y": mono}), theirs)
 
 
 def test_homogeneous_part():
