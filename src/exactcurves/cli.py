@@ -59,8 +59,7 @@ def _cmd_poly(args):
         _write_report(args, {"resultant": r.to_text()})
     elif args.poly_cmd == "factor":
         f = parse_poly(args.poly, varnames)
-        content, factors, unresolved = factor_bounded(
-            f, args.var, cap=args.degree_cap)
+        content, factors, unresolved = factor_bounded(f, args.var)
         print(f"content: {content}")
         for fac, mult in factors:
             print(f"({fac.to_text()})^{mult}")
@@ -211,8 +210,6 @@ def _cmd_solve(args):
         budgets["node_cap"] = args.budget_nodes
     if args.budget_time is not None:
         budgets["time_cap_s"] = args.budget_time
-    if args.degree_cap is not None:
-        budgets["degree_cap"] = args.degree_cap
     order = [v.strip() for v in args.order.split(",")] if args.order \
         else None
     rep = solve_system(root, order=order, filters=filters,
@@ -304,10 +301,9 @@ def build_parser():
     q.add_argument("f")
     q.add_argument("g")
     add_report(q)
-    q = sp.add_parser("factor", help="bounded-degree factor search")
+    q = sp.add_parser("factor", help="exact factorization in one variable")
     q.add_argument("--vars", required=True)
     q.add_argument("--var", required=True)
-    q.add_argument("--degree-cap", type=int, default=4)
     q.add_argument("poly")
     add_report(q)
     p_poly.set_defaults(func=_cmd_poly)
@@ -358,7 +354,6 @@ def build_parser():
     q = ss.add_parser("run", help="solve a polynomial system document")
     q.add_argument("system", help="JSON file: vars, field, polys, filters")
     q.add_argument("--order", help="comma-separated elimination order")
-    q.add_argument("--degree-cap", type=int, default=None)
     q.add_argument("--budget-nodes", type=int, default=None)
     q.add_argument("--budget-time", type=float, default=None)
     add_report(q)

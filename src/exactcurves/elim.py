@@ -6,12 +6,12 @@ against the remaining generators are computed, factored, and optionally
 pruned by declared degeneracy filters; every surviving factor combination
 becomes a child node unless a sibling has the same generators up to
 scalars.  Univariate leaves are classified and solved values
-are pushed back up the tree through bounded field extensions, with every
-emitted solution verified against the original generators.
+are pushed back up the tree through roots that `fields.adjoin_root`
+adjoins, each emitted solution verified against the original generators.
 
 The solver does not claim completeness: a wrong filter can discard genuine
-solutions, and factors beyond the degree cap are reported unresolved rather
-than guessed.  Everything removed or left open is recorded in the audit log.
+solutions, and a root the extension policy refuses is reported unresolved
+rather than guessed.  Everything removed or left open is in the audit log.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import time
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import fields as fl
-from .fields import FieldError, NumberField, QQ
+from .fields import FieldError, QQ
 from .multipoly import (MultiPoly, factor_bounded, leading_term, parse_poly,
                         poly_gcd_univ, resultant)
 
@@ -29,7 +29,7 @@ class ElimError(ValueError):
     pass
 
 
-DEFAULT_BUDGETS = {"node_cap": 10_000, "degree_cap": 4, "time_cap_s": 300.0}
+DEFAULT_BUDGETS = {"node_cap": 10_000, "time_cap_s": 300.0}
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +134,7 @@ def make_root(varnames: Sequence[str], gens: Sequence[MultiPoly],
 # one elimination step
 # ---------------------------------------------------------------------------
 
-def eliminate_step(node: EliminationNode, pivot: MultiPoly, var: str,
-                   degree_cap: int = 4):
+def eliminate_step(node: EliminationNode, pivot: MultiPoly, var: str):
     """Resultants of the pivot against every other generator involving `var`.
 
     Returns a list of dicts, one per paired generator:
@@ -162,18 +161,18 @@ def eliminate_step(node: EliminationNode, pivot: MultiPoly, var: str,
             entry["constant"] = True
             results.append(entry)
             continue
-        entry["factors"], entry["unresolved"] = _factor_poly(r, degree_cap)
+        entry["factors"], entry["unresolved"] = _factor_poly(r)
         results.append(entry)
     return results
 
 
-def _factor_poly(r: MultiPoly, degree_cap: int):
+def _factor_poly(r: MultiPoly):
     """Canonical factors of r, and those left unresolved.
 
-    A univariate r is factored exactly (`factor_bounded`).  A multivariate
-    r first loses its coordinate factors x^k; a univariate rest is then
-    factored exactly too, and a multivariate rest is kept whole, so that
-    factor need be neither squarefree nor irreducible.
+    A univariate r is factored exactly (`factor_bounded`), factors sorted
+    by degree.  A multivariate r first loses its coordinate factors x^k; a
+    univariate rest is then factored the same way, and a multivariate rest
+    is kept whole, so that factor need be neither squarefree nor irreducible.
     """
     factors, unresolved = [], []
     rest = r
@@ -188,8 +187,9 @@ def _factor_poly(r: MultiPoly, degree_cap: int):
                                  r.field)
         live = [v for v in r.vars if rest.degree_in(v) > 0]
     if len(live) == 1:
-        _c, facs, unres = factor_bounded(rest, live[0], degree_cap)
-        factors += [p for p, _m in facs]
+        _c, facs, unres = factor_bounded(rest, live[0])
+        factors += sorted((p for p, _m in facs),
+                          key=lambda p: p.degree_in(live[0]))
         unresolved = [p for p, _m in unres]
     elif live:
         factors.append(rest)
@@ -296,7 +296,6 @@ def search(root: EliminationNode, order: Optional[Sequence[str]] = None,
     the full audit log.  Identical inputs produce identical trees.
     """
     budgets = {**DEFAULT_BUDGETS, **(budgets or {})}
-    cap = budgets["degree_cap"]
     if order is None:
         order = list(reversed(root.remaining_vars))[:-1]
     order = list(order)
@@ -324,7 +323,7 @@ def search(root: EliminationNode, order: Optional[Sequence[str]] = None,
             leaves.append(node)
             continue
         if len(node.remaining_vars) <= 1:
-            _classify_leaf(node, cap, audit)
+            _classify_leaf(node, audit)
             leaves.append(node)
             continue
         var = next((v for v in order if v in node.remaining_vars), None)
@@ -357,7 +356,7 @@ def search(root: EliminationNode, order: Optional[Sequence[str]] = None,
                           "var": var})
             stack.append(child)
             continue
-        steps = eliminate_step(node, pivot, var, cap)
+        steps = eliminate_step(node, pivot, var)
         children = expand_children(node, pivot, var, steps, filters, audit)
         if node.status == "open":
             node.close("expanded")
@@ -379,7 +378,7 @@ def search(root: EliminationNode, order: Optional[Sequence[str]] = None,
     return report
 
 
-def _univariate_step(gens, var: str, field, assign: Mapping, cap: int):
+def _univariate_step(gens, var: str, field, assign: Mapping):
     """The one univariate step, taken at a leaf and at every ancestor
     during back-substitution.
 
@@ -387,7 +386,7 @@ def _univariate_step(gens, var: str, field, assign: Mapping, cap: int):
     of the results that involve `var`, and factors it exactly.  Returns
     None when no generator constrains `var`, ([], []) when `assign` makes
     a generator a nonzero constant or the gcd constant, and otherwise the
-    factors and the unresolved factors as `factor_bounded` sorts them.
+    irreducible factors and the parts `factor_bounded` left unsplit.
     """
     univs = []
     for g in gens:
@@ -406,16 +405,15 @@ def _univariate_step(gens, var: str, field, assign: Mapping, cap: int):
         g = poly_gcd_univ(g, h, var)
     if g.degree_in(var) <= 0:
         return [], []
-    _c, facs, unres = factor_bounded(g, var, cap)
+    _c, facs, unres = factor_bounded(g, var)
     return [p for p, _m in facs], [p for p, _m in unres]
 
 
-def _classify_leaf(node: EliminationNode, cap: int, audit: list):
+def _classify_leaf(node: EliminationNode, audit: list):
     if not node.remaining_vars:
         node.close("unresolved", "no variable left")
         return
-    step = _univariate_step(node.gens, node.remaining_vars[0], node.field,
-                            {}, cap)
+    step = _univariate_step(node.gens, node.remaining_vars[0], node.field, {})
     if step is None:
         node.close("unresolved", "zero ideal in the last variable")
         audit.append({"node": node.path, "event": "unresolved",
@@ -429,7 +427,7 @@ def _classify_leaf(node: EliminationNode, cap: int, audit: list):
         return
     if unres:
         node.close("unresolved",
-                   "factor beyond degree cap: "
+                   "factor left unsplit by the factorizer: "
                    + "; ".join(p.to_text() for p in unres))
         audit.append({"node": node.path, "event": "unresolved",
                       "detail": node.status_reason})
@@ -444,16 +442,17 @@ def _classify_leaf(node: EliminationNode, cap: int, audit: list):
 # back-substitution
 # ---------------------------------------------------------------------------
 
-def back_substitute(leaf: EliminationNode, degree_cap: int = 4):
+def back_substitute(leaf: EliminationNode):
     """Solutions of the original system reached through this solved leaf.
 
     Walks the elimination history upward.  Each irreducible factor of a
-    level's univariate step fixes that level's variable, in the current
-    tower or in one bounded extension adjoined for it; the next ancestor
-    then takes its univariate step under the values found so far.  Every
-    assignment that reaches the root is verified against the root
-    generators, and a verification failure aborts loudly; factors beyond
-    the cap are reported as unresolved records.
+    level's univariate step fixes that level's variable to a root
+    adjoined by `fields.adjoin_root`; the next ancestor then takes its
+    univariate step under the values found so far.  Every assignment that
+    reaches the root is verified against the root generators, and a
+    verification failure aborts loudly; a factor whose root the extension
+    policy refuses, or one left unsplit, is reported as an unresolved
+    record.
     """
     if leaf.status != "solved":
         raise ElimError(f"leaf is {leaf.status}, not solved")
@@ -468,20 +467,14 @@ def back_substitute(leaf: EliminationNode, degree_cap: int = 4):
         # parent, chain[level + 1], eliminated chain[level].elim_var
         for p in factors:
             coeffs = fl.up_monic(p.univariate_coeffs(var))
-            if len(coeffs) == 2:
-                nfield, value, ext = field, field.coerce(-coeffs[0]), []
-            else:
-                name = fl.fresh_name(field, name_counter)
-                try:
-                    nfield = NumberField(name, coeffs, field)
-                except FieldError as exc:
-                    results.append(_unresolved_record(
-                        assign, f"cannot adjoin degree-{len(coeffs) - 1} "
-                                f"root: {exc}"))
-                    continue
-                value, ext = nfield.gen(), [(name, p.to_text())]
+            try:
+                value, nfield = fl.adjoin_root(coeffs, field, name_counter)
+            except FieldError as exc:
+                results.append(_unresolved_record(assign, str(exc)))
+                continue
+            ext = [] if nfield is field else [(nfield.name, p.to_text())]
             point = {v: nfield.coerce(x) for v, x in assign.items()}
-            point[var] = value
+            point[var] = nfield.coerce(value)
             if level + 1 == len(chain):
                 bad = next((g for g in chain[-1].gens
                             if g.to_field(nfield).eval_point(point) != 0),
@@ -494,15 +487,14 @@ def back_substitute(leaf: EliminationNode, degree_cap: int = 4):
                                 "extensions": exts + ext, "verified": True})
                 continue
             up = chain[level].elim_var
-            step = _univariate_step(chain[level + 1].gens, up, nfield, point,
-                                    degree_cap)
+            step = _univariate_step(chain[level + 1].gens, up, nfield, point)
             if step is None:
                 results.append(_unresolved_record(
                     point, f"variable {up} unconstrained after substitution"))
                 continue
             facs, unres = step
             results.extend(_unresolved_record(
-                point, f"residual factor beyond cap in {up}: " + q.to_text())
+                point, f"unsplit residual factor in {up}: " + q.to_text())
                 for q in unres)
             extend(level + 1, up, facs, nfield, point, exts + ext)
 
@@ -554,7 +546,7 @@ def solve_system(root: EliminationNode,
     solutions = []
     unresolved = []
     for leaf in report["solved"]:
-        for rec in back_substitute(leaf, report["budgets"]["degree_cap"]):
+        for rec in back_substitute(leaf):
             if rec["status"] == "solved":
                 solutions.append(rec)
             else:

@@ -7,9 +7,8 @@ tower.  Yun's squarefree decomposition ("On square-free decomposition
 algorithms", 1976) is built on it and feeds `irreducible_factors`.
 
 One factoring path serves every caller that needs roots or irreducible factors
-(`fields.roots_in_field`, `fields.sqrt_in_field`,
-`multipoly.factor_bounded`, and the branch and candidate splitting in
-`singular`):
+(`fields.roots_in_field`, `multipoly.factor_bounded`, and the branch and
+candidate splitting in `singular`):
 
 - over Q, Zassenhaus: the primitive integer part is split modulo the
   prime, among PRIME_TRIALS good ones, with the fewest modular factors

@@ -632,6 +632,26 @@ def fresh_name(field, counter):
     return f"w{counter[0]}"
 
 
+# Extension policy: the largest degree of an irreducible factor whose root
+# is adjoined over a tower of depth 0, 1, 2 and 3 (the deepest one allowed).
+_ADJOIN_MAX_DEGREE = (4, 2, 2, 1)
+
+
+def adjoin_root(part, field, counter):
+    """A root of the monic irreducible `part` over `field`, as (root, ext):
+    ext is `field` when `part` is linear, else a new level over `field`
+    named by `fresh_name` with `counter`, and generated by the root.
+    Raises FieldError with the reason when the extension policy refuses."""
+    d, depth = up_deg(part), field.depth()
+    if d > _ADJOIN_MAX_DEGREE[depth]:
+        raise FieldError(f"extension policy: no root of degree {d} is "
+                         f"adjoined over a tower of depth {depth}")
+    if d == 1:
+        return -part[0], field
+    ext = NumberField(fresh_name(field, counter), part, field)
+    return ext.gen(), ext
+
+
 # ---------------------------------------------------------------------------
 # field construction / automorphisms
 # ---------------------------------------------------------------------------

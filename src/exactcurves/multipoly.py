@@ -581,23 +581,19 @@ def squarefree_part(f: MultiPoly, name: str) -> MultiPoly:
     return out
 
 
-def factor_bounded(f: MultiPoly, name: str, cap: int = 2):
+def factor_bounded(f: MultiPoly, name: str):
     """Irreducible factors of f over its field, with multiplicities.
 
     Returns (content, factors, unresolved).  The factorization is exact
-    (`factoring.irreducible_factors`); `cap` only sorts its output:
-    `factors` lists (MultiPoly, mult) for the monic irreducible factors of
-    degree <= cap, and `unresolved` those of higher degree followed by any
-    part the factorizer left unsplit at its recombination budget.
+    (`factoring.irreducible_factors`): `factors` lists (MultiPoly, mult)
+    for the monic irreducible factors, and `unresolved` the parts the
+    factorizer left unsplit at its recombination budget.
     """
     coeffs = f.univariate_coeffs(name)
     irreducible, unsplit = factoring.irreducible_factors(coeffs, f.field)
-    factors, unresolved = [], []
-    for q, mult in irreducible:
-        (factors if up_deg(q) <= cap else unresolved).append(
-            (_univariate(q, f, name), mult))
-    unresolved += [(_univariate(q, f, name), m) for q, m in unsplit]
-    return coeffs[-1], factors, unresolved
+    return (coeffs[-1],
+            [(_univariate(q, f, name), m) for q, m in irreducible],
+            [(_univariate(q, f, name), m) for q, m in unsplit])
 
 
 def dehomogenize(f: MultiPoly, i: int) -> MultiPoly:

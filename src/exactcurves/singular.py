@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import fields as fl
 from .factoring import irreducible_factors, poly_gcd
-from .fields import NumberField
+from .fields import FieldError
 from .multipoly import MultiPoly, dehomogenize, resultant
 
 
@@ -261,7 +261,7 @@ def puiseux_branches(germ: CurveGerm, truncation: int = 8):
 
     Branch exponents are restricted to integers; a germ needing fractional
     exponents is rejected.  Branch coefficients live in the germ's field or
-    a bounded extension adjoined on the way.
+    an extension adjoined on the way (`fields.adjoin_root`).
 
     Every branch is certified by its expansion path alone, with no
     substitution back into f.  The path u = v*(a1 + w1), w1 = v*(a2 + w2),
@@ -305,33 +305,26 @@ def _shear_away_vertical(f: MultiPoly, m: int):
     raise GermError("no shear separates the germ from the v-axis")
 
 
-def _adjoinable(part, field):
-    """Extension policy: an irreducible factor of degree <= 4 over Q, or
-    of degree 2 over a tower of depth 1 or 2, may be adjoined."""
-    depth = field.depth()
-    return depth < 3 and fl.up_deg(part) <= (4 if depth == 0 else 2)
-
-
 def _edge_roots(edge, field):
     """Distinct roots of an edge polynomial, as [(root, field)].
 
-    Irreducible factors of degree > 1 are adjoined as bounded extensions
-    (`_adjoinable`), each giving its roots in that extension.  None when
-    the polynomial does not split that way, a factorization left
-    unresolved included.
+    Each irreducible factor has a root adjoined (`fields.adjoin_root`);
+    a factor of degree > 1 gives all its roots in that one extension.
+    None when the polynomial does not split that way, a factorization
+    left unresolved or a refused extension included.
     """
     factors, unresolved = irreducible_factors(edge, field)
     if unresolved:
         return None
     out = []
     for part, _mult in factors:
-        if len(part) == 2:
-            out.append((-part[0], field))
-            continue
-        if not _adjoinable(part, field):
+        try:
+            w, ext = fl.adjoin_root(part, field, _EXT_COUNTER)
+        except FieldError:
             return None
-        ext = NumberField(fl.fresh_name(field, _EXT_COUNTER), part, field)
-        w = ext.gen()
+        if ext is field:
+            out.append((w, field))
+            continue
         cofactor = fl.up_divmod([ext.coerce(c) for c in part],
                                 [-w, ext.one()])[0]
         conjugates, unresolved = irreducible_factors(cofactor, ext)
@@ -483,7 +476,8 @@ def certify_smooth_projective(f: MultiPoly):
     of the plane by the point (1:0:0), the line z = 0 less that point and
     the chart z = 1 decides them exactly (README, "Smoothness").  The
     verdict is True, False, or None when a candidate y-coordinate has a
-    factor left unresolved or beyond the extensions `_adjoinable` allows.
+    factor left unresolved or one whose root the extension policy
+    (`fields.adjoin_root`) refuses.
     """
     if len(f.vars) != 3:
         raise GermError("expected a polynomial in 3 variables")
@@ -528,12 +522,9 @@ def certify_smooth_projective(f: MultiPoly):
     parts, unresolved = irreducible_factors(g, field)
     decided = not unresolved
     for part, _mult in parts:
-        if len(part) == 2:
-            r = -part[0]
-        elif _adjoinable(part, field):
-            r = NumberField(fl.fresh_name(field, _EXT_COUNTER), part,
-                            field).gen()
-        else:
+        try:
+            r, _ext = fl.adjoin_root(part, field, _EXT_COUNTER)
+        except FieldError:
             decided = False
             continue
         at_r = [p.substitute({y: r}) for p in chart]

@@ -145,9 +145,15 @@ class TestCli:
 
     def test_poly_factor(self, capsys):
         assert main(["poly", "factor", "--vars", "t", "--var", "t",
-                     "--degree-cap", "4", "t^4-5*t^2+6"]) == 0
+                     "t^4-5*t^2+6"]) == 0
         out = capsys.readouterr().out
         assert "t^2 + -2" in out and "t^2 + -3" in out
+
+    def test_poly_factor_prints_irreducible_quintic(self, capsys):
+        assert main(["poly", "factor", "--vars", "x", "--var", "x",
+                     "x^5 - x - 1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["(x^5 + -1*x + -1)^1"]
 
     def test_group_order(self, capsys):
         assert main(["group", "order", "cremona24"]) == 0

@@ -238,6 +238,39 @@ def test_adjoined_root_name_is_fresh_in_the_tower():
     assert s["assignment"]["y"] ** 2 == 2
 
 
+# -- roots the extension policy refuses --------------------------------------
+
+def test_refused_factor_keeps_the_leaf_solutions():
+    # x^5 - x - 1 is irreducible over Q, beyond the policy's degree 4: its
+    # branch is one unresolved record, and x = 1 is still emitted
+    rep = solve_system(make_root(("x",), [P("(x - 1)*(x^5 - x - 1)", ("x",))]))
+    assert [n.status for n in rep["leaves"]] == ["solved"]
+    assert assignments(rep) == [{"x": 1}]
+    assert rep["solutions"][0]["verified"]
+    (rec,) = rep["unresolved_branches"]
+    assert rec["reason"] == ("extension policy: no root of degree 5 is "
+                             "adjoined over a tower of depth 0")
+
+
+def test_cubic_over_a_quadratic_field_is_refused():
+    A = NumberField("a", [Fraction(-2), 0, 1])
+    rep = solve_system(make_root(("x",), [P("x^3 - a", ("x",), A)], A))
+    assert rep["solutions"] == []
+    (rec,) = rep["unresolved_branches"]
+    assert "extension policy" in rec["reason"]
+
+
+def test_no_root_is_adjoined_over_depth_three():
+    K = QQ
+    for name, c in (("a", -2), ("b", -3), ("c", -5)):
+        K = NumberField(name, [Fraction(c), 0, 1], K)
+    rep = solve_system(make_root(("x",), [P("x^2 - 7", ("x",), K)], K))
+    assert rep["solutions"] == []
+    (rec,) = rep["unresolved_branches"]
+    assert rec["reason"] == ("extension policy: no root of degree 2 is "
+                             "adjoined over a tower of depth 3")
+
+
 # -- filter transparency / determinism ---------------------------------------
 
 def test_no_filters_yield_leaf_superset():

@@ -69,7 +69,7 @@ def test_recombination_budget_leaves_input_unresolved(monkeypatch):
     with pytest.raises(FieldError):
         roots_in_field(f, QQ)
     g = MultiPoly.from_univariate(f, ("t",), "t")
-    assert factor_bounded(g, "t", cap=4)[1:] == ([], [(g, 1)])
+    assert factor_bounded(g, "t")[1:] == ([], [(g, 1)])
 
 
 # -- differential suite against sympy factor_list ---------------------------
@@ -138,7 +138,7 @@ def test_factor_matches_sympy(seed):
     polys = [p for p in planted for _ in range(rng.randint(1, mults))]
     f = MultiPoly.from_univariate(product(polys, field), ("t",), "t",
                                   field)
-    _c, factors, unresolved = factor_bounded(f, "t", cap=100)
+    _c, factors, unresolved = factor_bounded(f, "t")
     assert not unresolved
     got = {(tuple(p.univariate_coeffs("t")), m) for p, m in factors}
     # the factors multiply back to f and are monic
@@ -205,7 +205,7 @@ from exactcurves.fields import QQ, roots_in_field
 from exactcurves.multipoly import factor_bounded, parse_poly
 from exactcurves.singular import CurveGerm, certify_composite
 f = parse_poly("(x^2 + 3*x + 2)*(x^2 + x + 5)", ("x",))
-assert len(factor_bounded(f, "x", cap=4)[1]) == 3
+assert len(factor_bounded(f, "x")[1]) == 3
 assert roots_in_field([Fraction(-4), Fraction(0), Fraction(1)], QQ)
 germ = CurveGerm(parse_poly("(u - v^2)*(u + v^2)*(u - v^2 - v^3)",
                             ("u", "v")))

@@ -8,7 +8,7 @@ import pytest
 from exactcurves.factoring import poly_gcd
 from exactcurves.fields import (
     QQ, FieldAutomorphism, FieldElement, FieldError, NumberField,
-    common_field, element_from_doc, field_from_doc, rational_roots,
+    adjoin_root, common_field, element_from_doc, field_from_doc, rational_roots,
     roots_in_field, sqrt_in_field, sturm_real_roots, tower, up_derivative,
     up_divmod, up_eval, up_mul, up_trim,
 )
@@ -180,6 +180,30 @@ def test_duplicate_generator_name_rejected():
         field_from_doc({"vars": ["a", "a"], "minpolys": ["t^2-2", "t^2-3"]})
 
 
+# -- extension policy --------------------------------------------------------
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_extension_policy_table(depth, degree):
+    # degree <= 4 over Q, <= 2 over depth 1 or 2, only linear over depth 3
+    field = QQ
+    for name, c in (("a", -2), ("b", -3), ("c", -5))[:depth]:
+        field = NumberField(name, [Fraction(c), 0, 1], field)
+    part = [field.coerce(-11)] + [field.zero()] * (degree - 1) + [field.one()]
+    counter = [0]
+    if degree > (4, 2, 2, 1)[depth]:
+        with pytest.raises(FieldError, match="extension policy"):
+            adjoin_root(part, field, counter)
+        assert counter == [0]
+        return
+    root, ext = adjoin_root(part, field, counter)
+    assert root ** degree == 11
+    if degree == 1:
+        assert ext is field and counter == [0]
+    else:
+        assert ext.base is field and ext.name == "w1" and root == ext.gen()
+
+
 # -- automorphisms -----------------------------------------------------------
 
 def test_conjugation_automorphism():
@@ -231,11 +255,11 @@ def test_sturm_standard_cases():
 
 # -- irreducibility / rational roots ----------------------------------------
 
-def factor_degrees(coeffs, cap=4):
+def factor_degrees(coeffs):
     """Degrees of the irreducible factors over Q found by factor_bounded,
     and of those left unresolved."""
     f = MultiPoly.from_univariate([Fraction(c) for c in coeffs], ("t",), "t")
-    _c, fac, unres = factor_bounded(f, "t", cap=cap)
+    _c, fac, unres = factor_bounded(f, "t")
     return (sorted(p.degree_in("t") for p, _m in fac),
             sorted(p.degree_in("t") for p, _m in unres))
 
@@ -263,7 +287,7 @@ def test_quartic_with_huge_coefficient_splits():
     big = [Fraction(2), Fraction(3 * 10 ** 61), Fraction(1)]
     small = [Fraction(5), Fraction(1), Fraction(1)]
     f = MultiPoly.from_univariate(up_mul(big, small), ("t",), "t")
-    _c, fac, unres = factor_bounded(f, "t", cap=4)
+    _c, fac, unres = factor_bounded(f, "t")
     assert not unres
     assert sorted(p.univariate_coeffs("t") for p, _m in fac) == \
         sorted([big, small])

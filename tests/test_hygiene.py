@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 every definition in the package is read by the package itself, so none is
-kept only for the tests, and every attribute the package stores is read
-somewhere."""
+kept only for the tests, every attribute the package stores is read
+somewhere, and the extension policy is read only in `fields`."""
 
 import ast
 from pathlib import Path
@@ -133,6 +133,29 @@ def _package_unread():
     return unread_definitions({
         ".".join(p.relative_to(SRC).with_suffix("").parts): p.read_text()
         for p in MODULES})
+
+
+def modules_reading(sources, name):
+    """The modules of `sources` (module name -> text) that read `name`."""
+    return sorted(mod for mod, text in sources.items()
+                  if any(n == name for n, _line in _reads(ast.parse(text))))
+
+
+def test_checker_finds_every_module_reading_a_name():
+    sources = {"fields": "def fresh_name():\n    pass\nfresh_name()\n",
+               "elim": "from . import fields as fl\nfl.fresh_name()\n",
+               "curves": "from .fields import fresh_name\n",
+               "cli": "print('fresh_name')\n"}
+    assert modules_reading(sources, "fresh_name") == ["curves", "elim",
+                                                      "fields"]
+
+
+@pytest.mark.parametrize("name", ["fresh_name", "_ADJOIN_MAX_DEGREE"])
+def test_extension_policy_is_read_only_in_fields(name):
+    # every adjoined root goes through fields.adjoin_root, so no other
+    # module names a new level or consults the policy table itself
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert modules_reading(sources, name) == ["fields"]
 
 
 def test_checker_finds_an_unused_import():

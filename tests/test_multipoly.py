@@ -325,25 +325,16 @@ def test_squarefree_parts_are_squarefree(seed):
 
 def test_factor_bounded():
     f = parse_poly("(x-1)*(x^2+1)*(x^2-2)", ("x",))
-    content, fac, unres = factor_bounded(f, "x", cap=2)
+    content, fac, unres = factor_bounded(f, "x")
     assert content == 1
     assert not unres
     got = {p.to_text() for p, _ in fac}
     assert got == {"x + -1", "x^2 + 1", "x^2 + -2"}
 
 
-def test_factor_bounded_reports_unresolved():
-    # irreducible quartic stays unresolved at cap 2
-    f = parse_poly("x^4 - 2*x^3 + x^2 - 2*x - 2", ("x",))
-    _, fac, unres = factor_bounded(f, "x", cap=2)
-    assert not fac
-    assert len(unres) == 1
-    assert unres[0][0] == f
-
-
-def test_factor_bounded_cap4_accepts_quartic():
+def test_factor_bounded_returns_quartic_factor():
     f = parse_poly("(x^4 - 2*x^3 + x^2 - 2*x - 2)*(x-5)", ("x",))
-    _, fac, unres = factor_bounded(f, "x", cap=4)
+    _, fac, unres = factor_bounded(f, "x")
     assert not unres
     degs = sorted(p.degree_in("x") for p, _ in fac)
     assert degs == [1, 4]

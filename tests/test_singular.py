@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from exactcurves import factoring, singular
-from exactcurves.fields import NumberField, QQ
+from exactcurves import factoring, fields
+from exactcurves.elim import make_root, solve_system
+from exactcurves.fields import FieldError, NumberField, QQ
 from exactcurves.multipoly import MultiPoly, parse_poly
 from exactcurves.curves import lines_concurrent, tangent_lines_and_concurrency
 from exactcurves.singular import (
@@ -348,11 +349,27 @@ def test_singular_point_in_adjoined_root():
 
 
 def test_candidate_beyond_extensions_is_unresolved(monkeypatch):
-    monkeypatch.setattr(singular, "_adjoinable", lambda part, field: False)
+    # one extension policy for every caller: when it refuses all roots of
+    # degree > 1, the smoothness chart, the branch expansion and the
+    # elimination solver each report unresolved, never a verdict
+    adjoin_root = fields.adjoin_root
+
+    def refuse(part, field, counter):
+        if len(part) > 2:
+            raise FieldError("refused")
+        return adjoin_root(part, field, counter)
+
+    monkeypatch.setattr(fields, "adjoin_root", refuse)
     ok, witness = certify_smooth_projective(
         parse_poly(QUARTIC_SINGULAR_OVER_SQRT2, XYZ))
     assert ok is None
     assert "inconclusive" in witness["steps"][-1]
+    with pytest.raises(UnresolvedGerm):
+        puiseux_branches(CurveGerm(parse_poly("u^2 - 2*v^2 + v^3", UV)))
+    rep = solve_system(make_root(("x",), [parse_poly("x^2 - 2", ("x",))]))
+    assert rep["solutions"] == []
+    (rec,) = rep["unresolved_branches"]
+    assert rec["reason"] == "refused"
 
 
 def test_line_is_smooth():
