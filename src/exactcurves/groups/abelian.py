@@ -145,23 +145,35 @@ def smith_normal_form(M: Sequence[Sequence[int]]):
 def abelianization(p: Presentation) -> AbelianInvariants:
     """Invariants only (no generator images), by the sparse elimination of
     `_invariants_sparse`, so it scales to the large unsimplified kernel
-    presentations produced by the derived-series walk.  A row and its
-    negation span the same lattice, so each row is kept once up to sign."""
+    presentations produced by the derived-series walk."""
     n = len(p.generators)
     if n == 0:
         return AbelianInvariants(0, ())
+    return _invariants_sparse(_relation_rows(p), n)
+
+
+def _relation_rows(p: Presentation):
+    """The distinct rows, up to sign, of the relation matrix of `p` as
+    dicts column -> value: each with its columns sorted and its first entry
+    positive, at its first occurrence.  Duplicates are found on flat
+    (j, v, j, v, ...) keys, which die with this call."""
     index = {g: i for i, g in enumerate(p.generators)}
-    keys = []
+    seen = set()
+    rows = []
     for r in p.relators:
         row = {}
         for name, e in r.letters:
             j = index[name]
             row[j] = row.get(j, 0) + e
-        key = tuple(sorted((j, v) for j, v in row.items() if v))
-        if key:
-            keys.append(key if key[0][1] > 0 else
-                        tuple((j, -v) for j, v in key))
-    return _invariants_sparse([dict(k) for k in dict.fromkeys(keys)], n)
+        cols = sorted(j for j, v in row.items() if v)
+        if not cols:
+            continue
+        s = 1 if row[cols[0]] > 0 else -1
+        key = tuple(x for j in cols for x in (j, s * row[j]))
+        if key not in seen:
+            seen.add(key)
+            rows.append({j: s * row[j] for j in cols})
+    return rows
 
 
 # Rows examined per unit pivot: the restricted Markowitz search looks only

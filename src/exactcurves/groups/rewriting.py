@@ -30,15 +30,22 @@ def rs_kernel(p: Presentation, moduli: Sequence[int],
               simplify: bool = True) -> Presentation:
     """Presentation of the kernel of the map onto prod Z/moduli[i].
 
-    `images` sends each generator to a tuple of residues.  The map must be
-    surjective (checked).  The identity-coset case (empty moduli) returns
-    the presentation unchanged.
+    `images` sends each generator to a tuple of residues, one per modulus
+    (checked).  The map must be surjective (checked).  The identity-coset
+    case (empty moduli) returns the presentation unchanged.
     """
     moduli = tuple(int(m) for m in moduli)
     if any(m < 2 for m in moduli):
         raise RewriteError("moduli must all be >= 2")
-    imgs = {g: tuple(int(x) % m for x, m in zip(images[g], moduli))
-            for g in p.generators}
+    imgs = {}
+    for g in p.generators:
+        if g not in images:
+            raise RewriteError(f"generator {g} has no image")
+        img = tuple(images[g])
+        if len(img) != len(moduli):
+            raise RewriteError(f"image of {g} has {len(img)} residues, "
+                               f"not one per modulus ({len(moduli)})")
+        imgs[g] = tuple(int(x) % m for x, m in zip(img, moduli))
     if not moduli:
         return p
 
@@ -194,15 +201,20 @@ def tietze_simplify(p: Presentation) -> Presentation:
     occ = {g: 0 for g in gens}
     version = {}
     log = []
+    total = 0            # total length of the alive relators
 
     def register(idx, ls):
+        nonlocal total
         rels[idx] = ls
+        total += len(ls)
         version[idx] = version.get(idx, 0) + 1
         for n, _e in ls:
             occ[n] += 1
             gen2rels[n].add(idx)
 
     def unregister(idx):
+        nonlocal total
+        total -= len(rels[idx])
         for n, _e in rels[idx]:
             occ[n] -= 1
         for n in {n for n, _e in rels[idx]}:
@@ -282,7 +294,7 @@ def tietze_simplify(p: Presentation) -> Presentation:
         del occ[g]
         log.append(f"eliminated {g} (relator length {rl}, cost {cost})")
         eliminations += 1
-        if sum(len(ls2) for ls2 in rels.values()) > TIETZE_MAX_TOTAL_LENGTH:
+        if total > TIETZE_MAX_TOTAL_LENGTH:
             log.append("stopped: total length limit")
             break
 

@@ -2,6 +2,9 @@
 
 A word is a sequence of (generator name, exponent) letters with exponent
 +1 or -1, reduced on construction so no letter is adjacent to its inverse.
+Construction keeps the caller's letter tuples (lists become tuples), so
+words built from shared letters, like the Schreier letters of
+`rewriting.rs_kernel`, hold one pointer per letter, not one tuple each.
 The text format is "*"-separated letters with optional integer exponents,
 e.g. "l2^-1*c4*l2*c2^-1" or "x^3*y^-2".
 """
@@ -20,13 +23,16 @@ Letter = Tuple[str, int]
 
 def _reduce(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
     out = []
-    for name, e in letters:
+    for let in letters:
+        if type(let) is not tuple:
+            let = tuple(let)
+        name, e = let
         if e not in (1, -1):
             raise WordError(f"letter exponent must be +-1, got {e}")
         if out and out[-1][0] == name and out[-1][1] == -e:
             out.pop()
         else:
-            out.append((name, e))
+            out.append(let)
     return tuple(out)
 
 

@@ -69,6 +69,78 @@ class TestWords:
             word("a^b")
 
 
+def _naive_reduce(letters):
+    """Free reduction by deleting the first cancelling pair until none is
+    left (the reference for the stack reduction of `GroupWord`)."""
+    ls = [tuple(let) for let in letters]
+    k = 0
+    while k < len(ls) - 1:
+        if ls[k][0] == ls[k + 1][0] and ls[k][1] == -ls[k + 1][1]:
+            del ls[k:k + 2]
+            k = 0
+        else:
+            k += 1
+    return tuple(ls)
+
+
+def _naive_inverse(letters):
+    return [(n, -e) for n, e in reversed(letters)]
+
+
+def _random_letters(rng, length):
+    return [(rng.choice("abc"), rng.choice([1, -1])) for _ in range(length)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_words_match_naive_reference(seed):
+    rng = random.Random(7000 + seed)
+    for _ in range(100):
+        a = _random_letters(rng, rng.randint(0, 12))
+        b = _random_letters(rng, rng.randint(0, 12))
+        u, v = GroupWord(a), GroupWord(b)
+        assert u.letters == _naive_reduce(a)
+        assert (u * v).letters == _naive_reduce(a + b)
+        assert u.inverse().letters == _naive_reduce(_naive_inverse(a))
+        k = rng.randint(-3, 3)
+        base = a if k >= 0 else _naive_inverse(a)
+        assert (u ** k).letters == _naive_reduce(base * abs(k))
+        images = {g: _random_letters(rng, rng.randint(0, 4))
+                  for g in rng.sample("abc", 2)}
+        expanded = []
+        for n, e in a:
+            img = images.get(n, [(n, 1)])
+            expanded += img if e == 1 else _naive_inverse(img)
+        got = u.substituted({g: GroupWord(w) for g, w in images.items()})
+        assert got.letters == _naive_reduce(expanded)
+
+
+class TestWordLetters:
+    def test_tuple_letters_are_kept(self):
+        letters = [("a", 1), ("b", -1), ("b", -1), ("a", 1)]
+        w = GroupWord(letters)
+        assert all(x is y for x, y in zip(w.letters, letters))
+        tail = GroupWord(letters[1:])
+        assert (w * tail).letters[-1] is letters[-1]
+
+    def test_list_letters_become_tuples(self):
+        w = GroupWord([["a", 1], ["b", -1], ("b", 1), ["c", 1]])
+        assert w.letters == (("a", 1), ("c", 1))
+        assert all(type(let) is tuple for let in w.letters)
+        assert hash(w) == hash(word("a*c"))
+
+    def test_exponent_two_still_raises(self):
+        with pytest.raises(WordError):
+            GroupWord([("a", 1), ("b", 2)])
+        with pytest.raises(WordError):
+            GroupWord([["a", 2]])
+
+    def test_schreier_letters_are_shared(self):
+        ker = rs_kernel(CORPUS["g_orb22"], (2, 2), ORB22_TO_Z2Z2,
+                        simplify=False)
+        objects = {id(let) for r in ker.relators for let in r.letters}
+        assert len(objects) <= 2 * len(ker.generators)
+
+
 # ---------------------------------------------------------------------------
 # braids and the Artin action
 # ---------------------------------------------------------------------------
@@ -667,6 +739,28 @@ class TestKernelPresentation:
     def test_kernel_abelianization_consistency(self):
         ker = rs_kernel(CORPUS["g_orb22"], (2, 2), ORB22_TO_Z2Z2)
         assert abelianization(ker).describe() == "Z/8"
+
+
+class TestKernelImages:
+    """Each generator needs an image with one residue per modulus; a
+    shorter image used to be truncated into a wrong coset table."""
+
+    P = Presentation(["a", "b", "c"], ["a^2", "b^2", "c^2", "a^-1*b^-1*a*b"])
+    IMAGES = {"a": (1, 0), "b": (0, 1), "c": (1, 1)}
+
+    def test_full_images(self):
+        ker = rs_kernel(self.P, (2, 2), self.IMAGES)
+        assert abelianization(ker).describe() == "Z^2"
+
+    @pytest.mark.parametrize("image", [(1,), (1, 0, 1)])
+    def test_image_of_wrong_length_rejected(self, image):
+        with pytest.raises(RewriteError, match="image of a has"):
+            rs_kernel(self.P, (2, 2), dict(self.IMAGES, a=image))
+
+    def test_missing_image_rejected(self):
+        images = {"a": (1, 0), "b": (0, 1)}
+        with pytest.raises(RewriteError, match="generator c has no image"):
+            rs_kernel(self.P, (2, 2), images)
 
 
 class TestTietze:
