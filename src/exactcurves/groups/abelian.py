@@ -183,41 +183,59 @@ MARKOWITZ_ROWS = 4
 
 def _invariants_sparse(rows, ncols) -> AbelianInvariants:
     """Cokernel invariants of Z^ncols / rowspace for sparse integer rows
+    (dicts column -> value, which it modifies), by `_sparse_smith`."""
+    maps, _live, diag, _V = _sparse_smith(rows)
+    eliminated = sum(map(len, maps))
+    return AbelianInvariants(ncols - eliminated - len(diag),
+                             [d for d in diag if d > 1])
+
+
+def _sparse_smith(rows):
+    """The sparse elimination under both abelianizations, on integer rows
     (dicts column -> value, which it modifies).
 
     Level by level: the rows are sorted by length, ties in input order, and
     unit pivots are eliminated on the shorter half only (`_unit_eliminate`);
-    every other row is then reduced in one pass (`_reduce_packed`), and the
-    next level starts from those rows.  A level whose short half has no unit
-    entry eliminates on all of its rows instead, and its non-unit remnant is
-    folded row by row into a reduced row Hermite normal form, which keeps
-    its entries small (Havas, Holt and Rees 1993); the Smith form only sees
-    that HNF, which has at most ncols rows."""
+    they are back-substituted (`_back_substitute`), every other row is
+    reduced in one pass (`_reduce_packed`), and the next level starts from
+    those rows.  A level whose short half has no unit entry eliminates on
+    all of its rows instead, and its non-unit remnant is folded row by row
+    into a reduced row Hermite normal form, which keeps its entries small
+    (Havas, Holt and Rees 1993); the Smith form only sees that HNF, which
+    has no more rows than columns.
+
+    Returns (maps, live, diag, V).  `maps` lists each level's
+    back-substituted pivots; applied in turn, their maps e_c -> -w0*q_c
+    carry the cokernel onto Z^L / rowspace(remnant), L the columns no pivot
+    took.  `live` lists, sorted, the columns of L that the remnant uses;
+    diag and V are the invariant factors and the column transform of the
+    Smith form of its HNF, on those columns (both empty with no remnant)."""
     rows = sorted(rows, key=len)
-    eliminated = 0
+    maps = []
     while True:
         half = (len(rows) + 1) // 2
         pivots, rest = _unit_eliminate(rows[:half])
         if not pivots:
             break
-        eliminated += len(pivots)
-        rows = sorted(_reduce_packed(pivots, rest + rows[half:]), key=len)
+        maps.append(_back_substitute(pivots))
+        rows = sorted(_reduce_packed(maps[-1], rest + rows[half:]), key=len)
     pivots, rows = _unit_eliminate(rows)
-    eliminated += len(pivots)
-    live_cols = sorted({j for r in rows for j in r})
-    colmap = {j: k for k, j in enumerate(live_cols)}
+    maps.append(_back_substitute(pivots))
+    live = sorted({j for r in rows for j in r})
+    colmap = {j: k for k, j in enumerate(live)}
     remnant = set()
     for r in rows:
-        row = [0] * len(live_cols)
+        row = [0] * len(live)
         for j, v in r.items():
             row[colmap[j]] = v
         remnant.add(tuple(row))
     hnf = {}
     for row in sorted(remnant):
         _hnf_insert(hnf, list(row))
-    diag = smith_normal_form([hnf[c] for c in sorted(hnf)])[0] if hnf else []
-    torsion = [d for d in diag if d > 1]
-    return AbelianInvariants(ncols - eliminated - len(diag), torsion)
+    if not hnf:
+        return maps, live, [], []
+    diag, _D, _U, V = smith_normal_form([hnf[c] for c in sorted(hnf)])
+    return maps, live, diag, V
 
 
 def _unit_eliminate(rows):
@@ -289,19 +307,14 @@ def _unit_eliminate(rows):
     return pivots, list(rows.values())
 
 
-def _reduce_packed(pivots, rows):
-    """The rows reduced by the pivots of `_unit_eliminate`, as dicts on the
-    columns no pivot took, each once up to sign and none zero.
-
-    The pivot rows are back-substituted, last first, so that pivot column
-    c reads w0*e_c + q_c with w0 = +-1 and q_c on the live columns; a row r
-    becomes r_live - sum over pivot columns c of r[c]*w0*q_c.  This keeps
-    the cokernel: the pivot block is unit triangular, so the map
-    Z^n -> Z^live sending e_c to -w0*q_c is onto and its kernel is spanned
-    by the pivot rows.  Each row is summed as one int with a slot of W bits
-    per live column (Kronecker substitution, Harvey 2009); no reduced entry
-    exceeds (L1 norm of r) * max(1, max |q|) in size, which W holds as a
-    signed slot, so every slot reads back exactly."""
+def _back_substitute(pivots):
+    """The pivots of `_unit_eliminate` back-substituted, last first, as a
+    dict pivot column c -> (w0, q_c): the row of c then reads w0*e_c + q_c,
+    with w0 = +-1 and q_c on the columns no pivot took (the live ones).
+    The pivot block is unit triangular, so the map Z^n -> Z^live sending
+    e_c to -w0*q_c, and each live column to itself, is onto and its kernel
+    is spanned by the pivot rows: it keeps the cokernel.  The pivot rows
+    are modified into the q_c."""
     q = {}
     for c, w0, row in reversed(pivots):
         for c2 in [j for j in row if j in q]:
@@ -313,6 +326,18 @@ def _reduce_packed(pivots, rows):
                 else:
                     del row[j]
         q[c] = (w0, row)
+    return q
+
+
+def _reduce_packed(q, rows):
+    """The rows reduced by the pivots q of `_back_substitute`, as dicts on
+    the live columns, each once up to sign and none zero.
+
+    A row r becomes r_live - sum over pivot columns c of r[c]*w0*q_c, its
+    image under the map e_c -> -w0*q_c.  Each row is summed as one int with
+    a slot of W bits per live column (Kronecker substitution, Harvey 2009);
+    no reduced entry exceeds (L1 norm of r) * max(1, max |q|) in size,
+    which W holds as a signed slot, so every slot reads back exactly."""
     live = sorted({j for r in rows for j in r if j not in q}
                   | {j for _w0, row in q.values() for j in row})
     qmax = max((abs(v) for _w0, row in q.values() for v in row.values()),
@@ -325,15 +350,17 @@ def _reduce_packed(pivots, rows):
     packed = dict.fromkeys(abs(sum(v * weight[j] for j, v in r.items()))
                            for r in rows)
     packed.pop(0, None)
-    # (x + top) ^ top turns each signed slot into its two's complement
+    # (x + top) ^ top turns each signed slot into its two's complement;
+    # one-byte slots then read back as signed chars
     top = int.from_bytes((bytes(width - 1) + b"\x80") * len(live), "little")
     size = width * len(live)
     out = []
     for x in packed:
         b = ((x + top) ^ top).to_bytes(size, "little")
-        out.append({j: v for j, v in zip(live, (
-            int.from_bytes(b[k:k + width], "little", signed=True)
-            for k in range(0, size, width))) if v})
+        slots = (memoryview(b).cast("b") if width == 1 else
+                 (int.from_bytes(b[k:k + width], "little", signed=True)
+                  for k in range(0, size, width)))
+        out.append({j: v for j, v in zip(live, slots) if v})
     return out
 
 
@@ -392,26 +419,34 @@ def abelianization_with_images(p: Presentation):
 
     Returns (AbelianInvariants, {generator: tuple of residues}), the tuple
     running over the torsion factors (and free coordinates last, as exact
-    integers) of Z^n / relator lattice.
+    integers) of Z^n / relator lattice.  The images come from the sparse
+    elimination of `abelianization`: e_j is carried through each level's
+    map e_c -> -w0*q_c, and the Smith form of the remnant's HNF, U*H*V = D,
+    reads a vector x on its columns as x*V.
     """
     n = len(p.generators)
     if n == 0:
         return AbelianInvariants(0, ()), {}
-    rows = [[r.exponent_sum(g) for g in p.generators] for r in p.relators]
-    if not rows:
-        rows = [[0] * n]
-    diag, _A, _U, V = smith_normal_form(rows)
+    maps, live, diag, V = _sparse_smith(_relation_rows(p))
     k = len(diag)
-    torsion_idx = [i for i in range(k) if diag[i] > 1]
-    free_count = n - k
-    inv = AbelianInvariants(free_count, [diag[i] for i in torsion_idx])
+    taken = set(live).union(*maps)
+    free = [j for j in range(n) if j not in taken]
+    inv = AbelianInvariants(len(live) - k + len(free),
+                            [d for d in diag if d > 1])
     images = {}
     for j, g in enumerate(p.generators):
-        # generator e_j maps to row j of V in the new coordinates
-        coords = []
-        for i in torsion_idx:
-            coords.append(V[j][i] % diag[i])
-        for i in range(k, n):
-            coords.append(V[j][i])
-        images[g] = tuple(coords)
+        x = {j: 1}
+        for q in maps:
+            for c in [c for c in x if c in q]:
+                f = x.pop(c) * q[c][0]
+                for i, v in q[c][1].items():
+                    nv = x.get(i, 0) - f * v
+                    if nv:
+                        x[i] = nv
+                    else:
+                        del x[i]
+        row = [x.get(c, 0) for c in live]
+        coords = [sum(a * b for a, b in zip(row, col)) for col in zip(*V)]
+        images[g] = tuple([y % d for y, d in zip(coords, diag) if d > 1]
+                          + coords[k:] + [x.get(c, 0) for c in free])
     return inv, images

@@ -339,6 +339,7 @@ def derived_series_quotients(p: Presentation, depth: int):
     presentations = [p]
     status = "complete"
     current = p
+    raw = False     # `current` is a kernel left unsimplified
     for level in range(depth):
         if level == depth - 1:
             # the last level only needs invariants (fast sparse path):
@@ -358,14 +359,28 @@ def derived_series_quotients(p: Presentation, depth: int):
         if inv.order() > DERIVED_MAX_INDEX:
             status = f"stopped: index {inv.order()} exceeds limit"
             break
+        # generators of the kernel about to be taken (Nielsen-Schreier)
+        size = inv.order() * (len(current.generators) - 1) + 1
+        if raw and size > DERIVED_MAX_GENERATORS:
+            # over the raw kernel the final one would pass the limit: take
+            # it over the simplified kernel, which the limit is checked on
+            current = presentations[-1] = tietze_simplify(current)
+            inv, images = abelianization_with_images(current)
         torsion_images = {g: v[:len(inv.torsion)]
                           for g, v in images.items()}
-        # the kernel feeding the final level is only ever abelianized, and
-        # the sparse invariants path digests the raw Schreier presentation
-        # directly; Tietze there costs far more than it saves
-        simplify = level < depth - 2
+        # Tietze pays only on a kernel whose own kernel is rewritten again
+        # (level < depth - 3).  The kernel feeding the last rewriting stays
+        # raw: a generator Tietze would eliminate occurs once in some
+        # relator, so its lifts are unit entries of the final relation
+        # matrix, which the sparse invariants pivot on anyway, while the
+        # substitutions lengthen the relators that the rewriting copies
+        # index-fold.  The final kernel is only abelianized, and stays raw
+        # too.  A raw kernel whose own kernel would pass
+        # DERIVED_MAX_GENERATORS is simplified, so the limit stops the walk
+        # where it did on simplified kernels.
+        raw = level == depth - 3 and size <= DERIVED_MAX_GENERATORS
         current = rs_kernel(current, inv.torsion, torsion_images,
-                            simplify=simplify)
+                            simplify=level <= depth - 3 and not raw)
         if len(current.generators) > DERIVED_MAX_GENERATORS:
             status = "stopped: generator limit exceeded"
             break

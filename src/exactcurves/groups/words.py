@@ -101,9 +101,6 @@ class GroupWord:
     def generators(self):
         return {n for n, _e in self.letters}
 
-    def exponent_sum(self, name: str) -> int:
-        return sum(e for n, e in self.letters if n == name)
-
     def substituted(self, images: Mapping[str, "GroupWord"]) -> "GroupWord":
         """Image under the homomorphism defined by generator images."""
         out = []

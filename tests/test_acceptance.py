@@ -267,7 +267,8 @@ def test_property_suites_present_with_100_cases():
         "test_elim.py": [("test_elim_soundness_planted", 100)],
         "test_groups.py": [
             ("test_sparse_invariants_match_smith_forms", 100),
-            ("test_sparse_invariants_of_tall_matrices", 100)],
+            ("test_sparse_invariants_of_tall_matrices", 100),
+            ("test_images_match_sympy", 100)],
         "test_factoring.py": [("test_factor_matches_sympy", 100),
                               ("test_gcd_and_squarefree_match_sympy", 100)],
     }

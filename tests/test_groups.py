@@ -16,8 +16,8 @@ from exactcurves.groups import (
     quotient_by_relations, rs_kernel, smith_normal_form, standard_target,
     todd_coxeter, tietze_simplify, verify_g0_relations, word,
 )
-from exactcurves.groups import abelian
-from exactcurves.groups.abelian import _reduce_packed
+from exactcurves.groups import abelian, rewriting
+from exactcurves.groups.abelian import _back_substitute, _reduce_packed
 from exactcurves.groups.burau import G0Error, _is_identity_in_b3
 
 
@@ -51,11 +51,6 @@ class TestWords:
     def test_pow(self):
         assert (word("a*b") ** 2).to_text() == "a*b*a*b"
         assert (word("a") ** -3).to_text() == "a^-3"
-
-    def test_exponent_sum(self):
-        w = word("a*b*a*b^-1*a^-1")
-        assert w.exponent_sum("a") == 1
-        assert w.exponent_sum("b") == 0
 
     def test_substituted(self):
         w = word("x*y^-1")
@@ -493,20 +488,27 @@ def _random_relation_matrix(rng, kind):
     return rows
 
 
+def _sympy_invariants(M, c):
+    """Invariants of Z^c / rowspace(M), read off sympy's Smith form."""
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    if not M:
+        return AbelianInvariants(c, ())
+    S = sympy_snf(Matrix(M), domain=ZZ)
+    ref = sorted(abs(S[i, i]) for i in range(min(S.shape)) if S[i, i])
+    return AbelianInvariants(c - len(ref), [d for d in ref if d > 1])
+
+
 def _invariants_checked(M, got=None):
     """`got`, by default the abelianization of the relation matrix M,
     asserted equal to the invariants read off the dense Smith form of M and
     off sympy's."""
-    from sympy import Matrix, ZZ
-    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     c = len(M[0])
     if got is None:
         got = abelianization(_relation_presentation(M))
     diag = smith_normal_form(M)[0]
     assert got == AbelianInvariants(c - len(diag), [d for d in diag if d > 1])
-    S = sympy_snf(Matrix(M), domain=ZZ)
-    ref = sorted(abs(S[i, i]) for i in range(min(S.shape)) if S[i, i])
-    assert got == AbelianInvariants(c - len(ref), [d for d in ref if d > 1])
+    assert got == _sympy_invariants(M, c)
     return got
 
 
@@ -564,9 +566,9 @@ def test_sparse_invariants_of_tall_matrices(seed, monkeypatch):
     # the short-half split and the packed pass run on at least two levels
     packed_levels = []
 
-    def reduce_packed(pivots, rows):
-        packed_levels.append(len(pivots))
-        return _reduce_packed(pivots, rows)
+    def reduce_packed(q, rows):
+        packed_levels.append(len(q))
+        return _reduce_packed(q, rows)
     monkeypatch.setattr(abelian, "_reduce_packed", reduce_packed)
     _invariants_checked(M)
     assert len(packed_levels) >= 2
@@ -592,7 +594,8 @@ def test_packed_pass_reads_back_entries_at_the_slot_bound(t):
     negated = {j: -v for j, v in row.items()}
     for q in (-1, 1):
         pivots = [(c, 1, {3: q}) for c in range(3)]
-        assert _reduce_packed(pivots, [row, negated]) == [{3: t}]
+        assert _reduce_packed(_back_substitute(pivots),
+                              [row, negated]) == [{3: t}]
     # a presentation would spell out t letters, so the rows go in directly
     rows = _planted_sum_rows(t)
     got = abelian._invariants_sparse(
@@ -606,9 +609,69 @@ def test_rows_reducing_to_negatives_are_kept_once():
     # which are kept once, with the last nonzero entry positive
     r1, r2 = {0: 1, 1: 1, 2: 2}, {0: 1, 1: -1, 2: -2, 3: 2}
     pivots = [(0, 1, {3: 1}), (1, 1, {2: -1})]
-    assert _reduce_packed(pivots, [dict(r1), dict(r2)]) == [{2: -3, 3: 1}]
+    assert _reduce_packed(_back_substitute(pivots),
+                          [dict(r1), dict(r2)]) == [{2: -3, 3: 1}]
     M = [[1, 0, 0, 1], [0, 1, -1, 0], [1, 1, 2, 0], [1, -1, -2, 2]]
     assert _invariants_checked(M) == AbelianInvariants(1, ())
+
+
+def _images_case(seed):
+    """Seed 0: free of rank three, with no relators.  Seed 1: the trivial
+    group <a, b | a*b, a*b^2>.  Other seeds: a presentation on two to four
+    generators with one to four random relators, each completed by powers
+    of the first generators so that it maps to 0 under a surjection onto
+    Z/2, Z/3, Z/4 or Z/2 x Z/2; for odd seeds, the raw Schreier kernel of
+    that surjection."""
+    if seed == 0:
+        return Presentation(["a", "b", "c"], [])
+    if seed == 1:
+        return Presentation(["a", "b"], ["a*b", "a*b^2"])
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(rng.randint(2, 4))]
+    moduli = rng.choice([(2,), (3,), (4,), (2, 2)])
+    images = {g: (tuple(int(i == k) for k in range(len(moduli)))
+                  if i < len(moduli) else
+                  tuple(rng.randrange(m) for m in moduli))
+              for i, g in enumerate(names)}
+    rels = []
+    for _ in range(rng.randint(1, 4)):
+        w = GroupWord([(rng.choice(names), rng.choice((1, -1)))
+                       for _ in range(rng.randint(1, 8))])
+        for k, m in enumerate(moduli):
+            s = sum(images[g][k] * e for g, e in w.letters) % m
+            w = w * GroupWord.gen(names[k], -s)
+        rels.append(w)
+    p = Presentation(names, rels)
+    if seed % 2 == 0:
+        return p
+    return rs_kernel(p, moduli, images, simplify=False)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_images_match_sympy(seed):
+    p = _images_case(seed)
+    inv, images = abelianization_with_images(p)
+    gens = p.generators
+    M = [[sum(e for g, e in r.letters if g == h) for h in gens]
+         for r in p.relators]
+    assert inv == _sympy_invariants(M, len(gens))
+    # torsion residues first, then free coordinates (modulus 0)
+    moduli = list(inv.torsion) + [0] * inv.rank
+    for g in gens:
+        assert len(images[g]) == len(moduli)
+        assert all(0 <= x < m for x, m in zip(images[g], inv.torsion))
+    # every relator maps to 0
+    for row in M:
+        for k, m in enumerate(moduli):
+            total = sum(v * images[g][k] for v, g in zip(row, gens))
+            assert (total % m if m else total) == 0
+    # onto: with the torsion relations the images span Z^len(moduli)
+    if moduli:
+        torsion_rows = [[d * (i == k) for k in range(len(moduli))]
+                        for i, d in enumerate(inv.torsion)]
+        assert _sympy_invariants([list(images[g]) for g in gens]
+                                 + torsion_rows, len(moduli)) == \
+            AbelianInvariants(0, ())
 
 
 # The level-4 quotient of g_symp once sent the dense remnant of the sparse
@@ -815,6 +878,54 @@ class TestDerivedSeries:
     def test_order24_quotient_depth_two(self):
         res = derived_series_quotients(CORPUS["cremona24"], 2)
         assert [q.describe() for q in res["quotients"]] == ["Z/8", "Z/3"]
+
+    def test_kernel_before_last_rewriting_stays_raw(self):
+        # Tietze runs only on the level-2 kernel; level 3 is the raw
+        # (10 gens, 69 relators) kernel, and level 4 the 64-fold rewriting
+        # of it: 64 * (10 - 1) + 1 generators
+        res = derived_series_quotients(CORPUS["g_symp"], 4)
+        assert [len(q.generators) for q in res["presentations"]] == \
+            [4, 4, 10, 577]
+
+    def test_smith_form_sees_no_more_rows_than_columns(self, monkeypatch):
+        shapes = []
+
+        def spy(M):
+            shapes.append((len(M), len(M[0])))
+            return smith_normal_form(M)
+        monkeypatch.setattr(abelian, "smith_normal_form", spy)
+        res = derived_series_quotients(CORPUS["g_orb22"], 3)
+        assert [q.describe() for q in res["quotients"]] == \
+            ["(Z/2)^2 + Z/8", "Z/3", "(Z/2)^6"]
+        assert shapes and all(r <= c for r, c in shapes)
+
+    def test_generator_limit_on_raw_kernel(self):
+        # the raw kernel of <a1..a9 | a_i^2> along (Z/2)^9 has
+        # 512 * 8 + 1 = 4097 generators, over the limit, so it is
+        # simplified, and the walk stops on its infinite abelianization
+        p = Presentation([f"a{i}" for i in range(1, 10)],
+                         [f"a{i}^2" for i in range(1, 10)])
+        res = derived_series_quotients(p, 3)
+        assert [q.describe() for q in res["quotients"]] == \
+            ["(Z/2)^9", "Z^1793"]
+        assert res["status"] == \
+            "stopped: infinite abelianization at level 2"
+
+    @pytest.mark.parametrize("limit, status, gens", [
+        (500, "complete", [4, 4, 7, 385]),
+        (300, "stopped: generator limit exceeded", [4, 4, 7])])
+    def test_generator_limit_over_raw_kernel(self, monkeypatch, limit,
+                                             status, gens):
+        # over the raw level-3 kernel of g_symp the level-4 kernel would
+        # have 577 generators, over the simplified one 385: with the limit
+        # between the two the walk completes over the simplified kernel,
+        # and below both it stops, as it did on simplified kernels
+        monkeypatch.setattr(rewriting, "DERIVED_MAX_GENERATORS", limit)
+        res = derived_series_quotients(CORPUS["g_symp"], 4)
+        assert res["status"] == status
+        assert [len(q.generators) for q in res["presentations"]] == gens
+        assert [q.describe() for q in res["quotients"]] == \
+            ["Z/8", "Z/3", "(Z/2)^6", "Z^9 + (Z/2)^5 + Z/4"][:len(gens)]
 
     def test_perfect_group_stops(self):
         # the binary icosahedral presentation is perfect
