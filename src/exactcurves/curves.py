@@ -286,7 +286,6 @@ def assemble_appendix_b(mapping=None):
     TZ = ("t", "z")
     t = MultiPoly.var(TZ, "t", K1)
     z = MultiPoly.var(TZ, "z", K1)
-    q19 = Fraction(19)
     F0 = (z ** 8
           + MultiPoly.const(TZ, c(2 * consts["r16"]) / 19, K1) * t * z ** 6
           + MultiPoly.const(TZ, c(3 * consts["r24"]) / 19 ** 2, K1)

@@ -2,8 +2,9 @@
 
 The count |Hom(G, T)| over a panel of small targets is an isomorphism
 invariant that is cheap to compute and sharp enough to distinguish the
-presentations compared here.  Targets are concrete permutation /
-quaternion groups packaged as multiplication tables.
+presentations compared here.  Targets are permutation groups (Q8 acting
+on itself by left multiplication) and cyclic groups, packaged as
+multiplication tables.
 """
 
 from __future__ import annotations
@@ -61,30 +62,6 @@ def _perm_group(name: str, degree: int,
     return FiniteGroup(name, mult)
 
 
-def _quaternion_group() -> FiniteGroup:
-    # elements 1, -1, i, -i, j, -j, k, -k encoded as (sign, axis)
-    elems = [(1, "1"), (-1, "1"), (1, "i"), (-1, "i"),
-             (1, "j"), (-1, "j"), (1, "k"), (-1, "k")]
-    index = {e: n for n, e in enumerate(elems)}
-    rules = {("1", "1"): (1, "1"),
-             ("1", "i"): (1, "i"), ("i", "1"): (1, "i"),
-             ("1", "j"): (1, "j"), ("j", "1"): (1, "j"),
-             ("1", "k"): (1, "k"), ("k", "1"): (1, "k"),
-             ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
-             ("k", "k"): (-1, "1"),
-             ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-             ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-             ("k", "i"): (1, "j"), ("i", "k"): (-1, "j")}
-    mult = []
-    for sa, a in elems:
-        row = []
-        for sb, b in elems:
-            s, c = rules[(a, b)]
-            row.append(index[(s * sa * sb, c)])
-        mult.append(row)
-    return FiniteGroup("Q8", mult)
-
-
 def standard_target(name: str) -> FiniteGroup:
     """S3, S4, D4, Q8 (and Z/n via 'Z2', 'Z8', ...)."""
     name = name.upper()
@@ -95,7 +72,9 @@ def standard_target(name: str) -> FiniteGroup:
     if name == "D4":
         return _perm_group("D4", 4, [(1, 2, 3, 0), (3, 2, 1, 0)])
     if name == "Q8":
-        return _quaternion_group()
+        # left multiplication by i and j on 1, -1, i, -i, j, -j, k, -k
+        return _perm_group("Q8", 8, [(2, 3, 1, 0, 6, 7, 5, 4),
+                                     (4, 5, 7, 6, 1, 0, 2, 3)])
     if name.startswith("Z") and name[1:].isdigit():
         n = int(name[1:])
         if n < 1:

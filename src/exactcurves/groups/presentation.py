@@ -81,14 +81,5 @@ def zvk_presentation(n: int, lines: Sequence[Tuple[str, BraidWord]],
 def quotient_by_relations(p: Presentation,
                           extra: Iterable, note: str = "") -> Presentation:
     """Presentation with extra relators appended (words or text)."""
-    rels = list(p.relators)
-    for r in extra:
-        if isinstance(r, str):
-            r = word(r)
-        bad = r.generators() - set(p.generators)
-        if bad:
-            raise PresentationError(f"unknown generators {bad} in relator")
-        rels.append(r)
-    suffix = note or "quotient"
-    notes = (p.notes + "; " if p.notes else "") + suffix
-    return Presentation(p.generators, rels, notes)
+    notes = (p.notes + "; " if p.notes else "") + (note or "quotient")
+    return Presentation(p.generators, [*p.relators, *extra], notes)

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .abelian import abelianization_with_images
 from .presentation import Presentation
-from .words import GroupWord
+from .words import GroupWord, _reduce
 
 
 class RewriteError(ValueError):
@@ -67,21 +67,6 @@ def rs_kernel(p: Presentation, moduli: Sequence[int],
     bwd = {g: [coset([x - y for x, y in zip(t, imgs[g])])
                for t in residues] for g in p.generators}
 
-    # surjectivity: close {0} under adding generator images
-    reach = {0}
-    frontier = [0]
-    while frontier:
-        t = frontier.pop()
-        for g in p.generators:
-            for u in (fwd[g][t], bwd[g][t]):
-                if u not in reach:
-                    reach.add(u)
-                    frontier.append(u)
-    if len(reach) != order:
-        raise RewriteError(
-            f"images generate a subgroup of index {order // len(reach)}, "
-            "not the full target")
-
     # shortlex Schreier transversal (BFS over generator letters in order)
     letters = []
     for g in p.generators:
@@ -99,6 +84,12 @@ def rs_kernel(p: Presentation, moduli: Sequence[int],
                     transversal[u] = transversal[t] * GroupWord([(g, e)])
                     nxt.append(u)
         queue = nxt
+    # the search reaches exactly the image of the map
+    reached = order - transversal.count(None)
+    if reached != order:
+        raise RewriteError(
+            f"images generate a subgroup of index {order // reached}, "
+            "not the full target")
 
     # Schreier generators: one per (coset, generator); tree edges trivial
     names = []
@@ -154,17 +145,12 @@ TIETZE_MAX_ELIMINATIONS = 100_000
 
 
 def _free_cyclic_reduce(ls):
-    """Free reduction (stack) then cyclic reduction of a letter list."""
-    stack = []
-    for let in ls:
-        if stack and stack[-1][0] == let[0] and stack[-1][1] == -let[1]:
-            stack.pop()
-        else:
-            stack.append(let)
-    while len(stack) >= 2 and stack[0][0] == stack[-1][0] and \
-            stack[0][1] == -stack[-1][1]:
-        stack = stack[1:-1]
-    return stack
+    """Free reduction (`words._reduce`) then cyclic reduction of a letter
+    list."""
+    ls = list(_reduce(ls))
+    while len(ls) >= 2 and ls[0][0] == ls[-1][0] and ls[0][1] == -ls[-1][1]:
+        ls = ls[1:-1]
+    return ls
 
 
 def _canonical_key(ls):

@@ -5,8 +5,9 @@ A word is a sequence of (generator name, exponent) letters with exponent
 Construction keeps the caller's letter tuples (lists become tuples), so
 words built from shared letters, like the Schreier letters of
 `rewriting.rs_kernel`, hold one pointer per letter, not one tuple each.
-The text format is "*"-separated letters with optional integer exponents,
-e.g. "l2^-1*c4*l2*c2^-1" or "x^3*y^-2".
+The text format is "*"-separated letters, each a generator name that is a
+Python identifier with an optional integer exponent, e.g.
+"l2^-1*c4*l2*c2^-1" or "x^3*y^-2".
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ class GroupWord:
             name = name.strip()
             if not name:
                 raise WordError(f"missing generator name in {chunk!r}")
+            if not name.isidentifier():
+                raise WordError(f"generator name {name!r} in {chunk!r} is "
+                                "not an identifier")
             letters.extend([(name, 1 if k > 0 else -1)] * abs(k))
         return cls(letters)
 

@@ -6,7 +6,8 @@ substitutions go through one multiply-accumulate kernel
 (`_multiply_accumulate`): coefficient products are summed as integers per
 output monomial, and each sum is reduced once, into one Fraction or
 through one pass of the field's reduction table.  Resultants use the
-subresultant polynomial-remainder sequence to keep coefficient growth under
+subresultant polynomial-remainder sequence over MultiPoly coefficients
+(polynomials in the remaining variables) to keep coefficient growth under
 control; gcds, squarefree decomposition and factoring are univariate views
 of `factoring`.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from . import factoring
 from .fields import (QQ, FieldElement, FieldError, NumberField,
@@ -142,14 +143,17 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise PolyError("negative power")
-        result = MultiPoly.const(self.vars, 1, self.field)
-        base = self
-        while n:
+        if not n:
+            return MultiPoly.const(self.vars, 1, self.field)
+        # square and multiply, with no product by the constant 1
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         try:
@@ -167,31 +171,18 @@ class MultiPoly:
         return hash(next(iter(self.terms.values()), 0))
 
     # -- structure ---------------------------------------------------------
-    def degree(self, weights: Optional[Sequence[int]] = None) -> int:
-        """Max (weighted) total degree; -1 for the zero polynomial."""
+    def degree(self) -> int:
+        """Max total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        if weights is None:
-            weights = (1,) * len(self.vars)
-        return max(sum(w * e for w, e in zip(weights, expo))
-                   for expo in self.terms)
+        return max(sum(expo) for expo in self.terms)
 
-    def is_homogeneous(self, weights: Optional[Sequence[int]] = None) -> bool:
-        if not self.terms:
-            return True
-        if weights is None:
-            weights = (1,) * len(self.vars)
-        degs = {sum(w * e for w, e in zip(weights, expo))
-                for expo in self.terms}
-        return len(degs) == 1
+    def is_homogeneous(self) -> bool:
+        return len({sum(expo) for expo in self.terms}) <= 1
 
-    def homogeneous_part(self, d: int, weights=None) -> "MultiPoly":
-        if weights is None:
-            weights = (1,) * len(self.vars)
-        terms = {e: c for e, c in self.terms.items()
-                 if sum(w * x for w, x in zip(weights, e)) == d}
+    def homogeneous_part(self, d: int) -> "MultiPoly":
         out = MultiPoly.zero(self.vars, self.field)
-        out.terms = terms
+        out.terms = {e: c for e, c in self.terms.items() if sum(e) == d}
         return out
 
     def min_degree(self) -> int:
@@ -442,40 +433,27 @@ def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 # resultants via subresultant PRS
 # ---------------------------------------------------------------------------
 
-def _ring_exact_div_coeff(a, b):
-    """Exact division of ring coefficients (MultiPoly or field element)."""
-    if isinstance(a, MultiPoly):
-        return exact_div(a, b)
-    return a / b
-
-
 def resultant_univ(A, B):
-    """Resultant of two coefficient lists over a ring (subresultant PRS).
+    """Resultant of two coefficient lists over `MultiPoly` (subresultant
+    PRS).
 
-    Coefficient entries must support +, -, *, exact division and truthiness.
-    Both inputs must be nonzero.
+    The coefficients are MultiPoly over one variable list and field, and
+    the resultant is one too.  Both inputs must be nonzero.
     """
     A, B = up_trim(A), up_trim(B)
     if not A or not B:
         raise PolyError("resultant of zero polynomial")
     dA, dB = up_deg(A), up_deg(B)
-    if dA == 0 and dB == 0:
-        return _ring_one_like(A[0])
     s = 1
     if dA < dB:
-        A, B = B, A
-        dA, dB = dB, dA
+        A, B, dA, dB = B, A, dB, dA
         if dA % 2 == 1 and dB % 2 == 1:
             s = -s
     if dB == 0:
         # Res(A, b) = b^deg(A)
-        out = _ring_one_like(B[0])
-        for _ in range(dA):
-            out = out * B[0]
-        return out if s == 1 else -out
-    g = _ring_one_like(A[-1])
-    h = _ring_one_like(A[-1])
-    one = g
+        res = B[0] ** dA
+        return res if s == 1 else -res
+    g = h = A[-1] ** 0
     while True:
         dA, dB = up_deg(A), up_deg(B)
         delta = dA - dB
@@ -483,55 +461,20 @@ def resultant_univ(A, B):
             s = -s
         R = up_prem(A, B)
         if not R:
-            return _zero_like(A[-1])
-        denom = g
-        for _ in range(delta):
-            denom = denom * h
-        A, B = B, [_ring_exact_div_coeff(c, denom) for c in R]
+            return MultiPoly.zero(g.vars, g.field)
+        denom = g * h ** delta if delta else g
+        A, B = B, [exact_div(c, denom) for c in R]
         g = A[-1]
-        if delta == 0:
-            # h unchanged
-            pass
-        elif delta == 1:
+        if delta == 1:
             h = g
-        else:
-            # h = g^delta / h^(delta-1)
-            num = one
-            for _ in range(delta):
-                num = num * g
-            den = one
-            for _ in range(delta - 1):
-                den = den * h
-            h = _ring_exact_div_coeff(num, den)
+        elif delta > 1:
+            h = exact_div(g ** delta, h ** (delta - 1))
         if up_deg(B) <= 0:
             break
-    dA = up_deg(A)
-    lB = B[0]
     # res = lc(B)^deg(A) / h^(deg(A)-1)
-    num = one
-    for _ in range(dA):
-        num = num * lB
-    den = one
-    for _ in range(dA - 1):
-        den = den * h
-    res = _ring_exact_div_coeff(num, den)
+    dA = up_deg(A)
+    res = exact_div(B[0] ** dA, h ** (dA - 1))
     return res if s == 1 else -res
-
-
-def _ring_one_like(c):
-    if isinstance(c, MultiPoly):
-        return MultiPoly.const(c.vars, 1, c.field)
-    if isinstance(c, FieldElement):
-        return c.field.one()
-    return Fraction(1)
-
-
-def _zero_like(c):
-    if isinstance(c, MultiPoly):
-        return MultiPoly.zero(c.vars, c.field)
-    if isinstance(c, FieldElement):
-        return c.field.zero()
-    return Fraction(0)
 
 
 def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
@@ -629,11 +572,8 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch in "+-*^()":
+        if ch in "+-*/^()":
             tokens.append(ch)
-            i += 1
-        elif ch == "/":
-            tokens.append("/")
             i += 1
         elif ch.isdigit():
             j = i
@@ -703,9 +643,7 @@ class _Parser:
                 c = next(iter(d.terms.values())) if d.terms else None
                 if not c:
                     raise PolyError("division by zero")
-                inv = (1 / c) if isinstance(c, FieldElement) \
-                    else Fraction(1) / c
-                acc = acc * MultiPoly.const(self.vars, inv, acc.field)
+                acc = acc * MultiPoly.const(self.vars, 1 / c, acc.field)
             elif t is not None and (t[0].isalnum() or t in ("(",)):
                 # implicit multiplication like 2x or x y
                 acc = acc * self.parse_factor()
@@ -716,7 +654,6 @@ class _Parser:
         base = self.parse_atom()
         if self.peek() == "^":
             self.next()
-            sign = 1
             if self.peek() == "-":
                 raise PolyError("negative exponents not supported")
             e = self.next()

@@ -95,7 +95,6 @@ class BranchExpansion:
         return self.coeffs[0] if self.coeffs else self.field.zero()
 
     def series_poly(self) -> MultiPoly:
-        u, v = self.vars
         terms = {}
         for k, a in enumerate(self.coeffs, start=1):
             if a:
@@ -185,7 +184,6 @@ def certify_type(germ: CurveGerm, expected: str) -> SingularityCertificate:
     if not germ.on_curve():
         raise GermError("point not on curve")
     f = germ.f
-    u, v = f.vars
     m = f.min_degree()
     if m == 1:
         return SingularityCertificate(
@@ -389,7 +387,6 @@ def _expand_branches(f: MultiPoly, remaining: int):
 
 
 def _divide_out_v(f: MultiPoly, m: int) -> MultiPoly:
-    u, v = f.vars
     terms = {}
     for e, c in f.terms.items():
         if e[1] < m:

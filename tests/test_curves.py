@@ -54,6 +54,19 @@ def test_deltoid_symmetric_certifies():
     assert rep["points_distinct"]
 
 
+def test_repeated_projective_point_is_not_distinct():
+    # one cusp declared twice, the second time with its coordinates scaled
+    # by 2: the same projective point, so the declarations are refused
+    rec = corpus_get("deltoid_symmetric")
+    coords, kind = rec.singular_points[0]
+    twice = CurveRecord("deltoid_twice", rec.poly, rec.field,
+                        [(coords, kind),
+                         (tuple(2 * c for c in coords), kind)], [])
+    rep = certify_curve_spec(twice)
+    assert rep["points_distinct"] is False
+    assert rep["ok"] is False
+
+
 def test_deltoid_affine_certifies():
     rep = certify_curve_spec(corpus_get("deltoid_affine"))
     assert rep["ok"]

@@ -39,6 +39,13 @@ class TestWords:
         assert word("x^3*y^-2").letters == (
             ("x", 1), ("x", 1), ("x", 1), ("y", -1), ("y", -1))
 
+    def test_names_must_be_identifiers(self):
+        # a stray bracket is not read as part of a generator name
+        with pytest.raises(WordError, match=r"'\(c1'"):
+            word("(c1")
+        with pytest.raises(WordError, match=r"'\(c2\)'"):
+            todd_coxeter(CORPUS["cremona24"]).word_permutation("(c2)")
+
     def test_identity_text(self):
         assert word("1").is_identity()
         assert GroupWord().to_text() == "1"
@@ -763,7 +770,7 @@ class TestKernelPresentation:
         assert ker.relators == ()
 
     def test_non_surjective_rejected(self):
-        with pytest.raises(RewriteError):
+        with pytest.raises(RewriteError, match="index 2"):
             rs_kernel(Presentation(["a"], []), (2, 2), {"a": (1, 0)})
 
     def test_empty_moduli_is_identity(self):

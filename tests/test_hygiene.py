@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 every definition in the package is read by the package itself, so none is
 kept only for the tests, every attribute the package stores is read
-somewhere, and the extension policy is read only in `fields`."""
+somewhere, no function assigns a name it never reads, and the extension
+policy is read only in `fields`."""
 
 import ast
 from pathlib import Path
@@ -129,6 +130,54 @@ def write_only_attributes(stores, readers):
                    and node.attr not in reads})
 
 
+def _stored_names(target):
+    """The names an assignment target binds; None when it also stores into
+    an attribute or a subscript, which is an effect of its own."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, ast.Starred):
+        return _stored_names(target.value)
+    if isinstance(target, (ast.Tuple, ast.List)):
+        names = [_stored_names(t) for t in target.elts]
+        return None if None in names else [n for ns in names for n in ns]
+    return None
+
+
+def dead_stores(source):
+    """(line, names) for each assignment in a function none of whose target
+    names the function reads.  A function reads the names loaded anywhere
+    in its body, nested functions included.  Names starting with "_" and
+    the function's `nonlocal` and `global` names are exempt."""
+    out = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read, exempt = set(), set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, (ast.Nonlocal, ast.Global)):
+                exempt.update(node.names)
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value:
+                targets = [node.target]
+            else:
+                continue
+            names = [_stored_names(t) for t in targets]
+            if None in names:
+                continue
+            names = [n for ns in names for n in ns
+                     if not n.startswith("_") and n not in exempt]
+            # a nested function's assignments are walked with its own
+            # body and with every enclosing one's
+            if names and not read & set(names) and \
+                    (node.lineno, names) not in out:
+                out.append((node.lineno, names))
+    return sorted(out)
+
+
 def _package_unread():
     return unread_definitions({
         ".".join(p.relative_to(SRC).with_suffix("").parts): p.read_text()
@@ -156,6 +205,25 @@ def test_extension_policy_is_read_only_in_fields(name):
     # module names a new level or consults the policy table itself
     sources = {p.stem: p.read_text() for p in MODULES}
     assert modules_reading(sources, name) == ["fields"]
+
+
+def test_checker_finds_a_dead_store():
+    # `lost` and the tuple (a, b) are never read; `kept` is read by a
+    # nested function, `(c, d)` through `d`, `_skip` and the nonlocal
+    # `count` are exempt, and `box.x` and `box[0]` store into objects
+    source = ("def f(box):\n"
+              "    lost = 1\n    a, b = box\n    kept = 2\n"
+              "    c, d = box\n    _skip = 3\n"
+              "    box.x = 4\n    box[0] = 5\n"
+              "    count = 0\n"
+              "    def g():\n        nonlocal count\n        count = kept\n"
+              "    return d, g\n")
+    assert dead_stores(source) == [(2, ["lost"]), (3, ["a", "b"])]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_dead_stores(path):
+    assert dead_stores(path.read_text()) == []
 
 
 def test_checker_finds_an_unused_import():
