@@ -104,9 +104,8 @@ def _cmd_curve(args):
                          certify_curve_spec, corpus_get, kummer_pullback)
     from .multipoly import parse_poly
     if args.curve_cmd == "list":
-        import json as _json
         from .curves import _data_text
-        names = sorted(_json.loads(_data_text("curves.json")))
+        names = sorted(json.loads(_data_text("curves.json")))
         print("\n".join(names))
         return 0
     if args.curve_cmd == "certify":
@@ -263,8 +262,7 @@ def _cmd_verify(args):
     from .checks import run_all
     manifest = run_all(tags=args.tag or None)
     print(manifest.render())
-    if args.report:
-        manifest.write_report(args.report)
+    _write_report(args, {"checks": manifest.entries})
     return manifest.exit_code()
 
 

@@ -105,8 +105,7 @@ def _load_point_file(fname):
     doc = json.loads(_data_text(fname))
     field = field_from_doc(doc["field"])
     pts = []
-    rep = doc.get("representative_points", doc.get("points", []))
-    for p in rep:
+    for p in doc["representative_points"]:
         coords = tuple(parse_constant(c, field)
                        for c in p["coords_in_beta"])
         pts.append((coords, p["type"]))
@@ -253,21 +252,18 @@ def appendix_b_mappings():
     return _appendix_b_data()[2]["candidate_mappings"]
 
 
-def assemble_appendix_b(mapping=None):
+def assemble_appendix_b(mapping):
     """Assemble the octic family F, its quotient G0, and the model G.
 
-    `mapping` is either a label from the data file's candidate list, a dict
-    assigning the missing constant names (r32, r40) to supplied ones, or
-    None for the first candidate.  Returns a report dict with the three
-    polynomials, F as a `CurveRecord` with its declared singular points
-    ("record", for `certify_curve_spec`), and the structural check
-    results.  Nothing is certified here.
+    `mapping` is either a label from the data file's candidate list or a
+    dict assigning the missing constant names (r32, r40) to supplied ones.
+    Returns a report dict with the three polynomials, F as a `CurveRecord`
+    with its declared singular points ("record", for `certify_curve_spec`),
+    and the structural check results.  Nothing is certified here.
     """
     K, consts, doc = _appendix_b_data()
     mappings = doc["candidate_mappings"]
-    if mapping is None:
-        mapping = mappings[0]
-    elif isinstance(mapping, str):
+    if isinstance(mapping, str):
         matches = [m for m in mappings if m.get("label") == mapping]
         if not matches:
             raise CurveError(f"unknown mapping label {mapping!r}")
@@ -457,8 +453,7 @@ def _points_distinct(points) -> bool:
     for coords, _t in points:
         field = fl.common_field(*coords)
         v = [field.coerce(c) for c in coords]
-        i = max(k for k in range(len(v)) if v[k])
-        s = 1 / v[i]
+        s = 1 / v[_chart(v)[0]]
         normed.append(tuple(c * s for c in v))
     for i in range(len(normed)):
         for j in range(i + 1, len(normed)):

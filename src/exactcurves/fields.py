@@ -178,9 +178,6 @@ class RationalField:
     def depth(self):
         return 0
 
-    def total_degree(self):
-        return 1
-
     def __repr__(self):
         return "QQ"
 
@@ -247,9 +244,6 @@ class NumberField:
 
     def depth(self):
         return len(self._below) + 1
-
-    def total_degree(self):
-        return self._size
 
     def zero(self):
         return _raw(self, (0,) * self._size, 1)
@@ -680,9 +674,6 @@ class FieldAutomorphism:
                     f"image of {lvl.name} does not satisfy its minimal polynomial")
 
     def __call__(self, x) -> FieldElement:
-        return self.apply(x)
-
-    def apply(self, x) -> FieldElement:
         x = self.field.coerce(x)
         return self._apply_level(x, len(self.levels) - 1)
 
@@ -694,18 +685,6 @@ class FieldAutomorphism:
         for c in reversed(x.coords):
             acc = acc * img + self._apply_level(c, level - 1)
         return acc
-
-    def order(self) -> int:
-        """Multiplicative order of the automorphism on generators; at most
-        the degree of the field over Q, the largest order of its
-        automorphism group."""
-        gens = [self.field.coerce(lvl.gen()) for lvl in self.levels]
-        cur = list(gens)
-        for n in range(1, self.field.total_degree() + 1):
-            cur = [self.apply(g) for g in cur]
-            if cur == gens:
-                return n
-        raise FieldError("no power up to the field degree is the identity")
 
 
 # ---------------------------------------------------------------------------

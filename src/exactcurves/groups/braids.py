@@ -50,16 +50,6 @@ class BraidWord:
             raise BraidError("strand count mismatch")
         return BraidWord(self.n, self.letters + other.letters)
 
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.n, tuple(-k for k in reversed(self.letters)))
-
-    def __pow__(self, k: int) -> "BraidWord":
-        base = self if k >= 0 else self.inverse()
-        out = BraidWord(self.n)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, BraidWord) and self.n == other.n
                 and self.letters == other.letters)

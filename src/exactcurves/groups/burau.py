@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 from .braids import BraidWord, artin_act
+from .corpus import TAU1, TAU2
 from .words import GroupWord
 
 
@@ -114,22 +115,16 @@ def g0_equal(u: GroupWord, v: GroupWord) -> bool:
     return g0_is_trivial(u * v.inverse())
 
 
-def verify_g0_relations(tau1: BraidWord = None,
-                        tau2: BraidWord = None) -> bool:
-    """Check c_i^(tau1*tau2) = c_i^(tau2*tau1) in G0 for i = 1..4.
+def verify_g0_relations(tau2: BraidWord = TAU2) -> bool:
+    """Check c_i^(TAU1*tau2) = c_i^(tau2*TAU1) in G0 for i = 1..4.
 
-    The default braids are the two full twists of the deltoid monodromy;
-    alternative braids may be passed to exercise the checker (a wrong
-    second braid makes some i fail).
+    `tau2` is the second full twist of the deltoid monodromy (`TAU2`);
+    the planted control passes a wrong one, which makes some i fail.
     """
-    if tau1 is None:
-        tau1 = BraidWord(4, (2, 1, 2, 1))
-    if tau2 is None:
-        tau2 = BraidWord(4, (2, 3, 2, 3))
     for i in range(1, 5):
         ci = GroupWord.gen(f"c{i}")
-        u = artin_act(tau1 * tau2, ci, 4, "c")
-        v = artin_act(tau2 * tau1, ci, 4, "c")
+        u = artin_act(TAU1 * tau2, ci, 4, "c")
+        v = artin_act(tau2 * TAU1, ci, 4, "c")
         if not g0_equal(u, v):
             return False
     return True

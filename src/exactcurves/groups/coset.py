@@ -1,9 +1,9 @@
-"""Todd-Coxeter coset enumeration and the regular representation.
+"""Todd-Coxeter coset enumeration over the trivial subgroup.
 
 The enumerator is the classical relator-scanning strategy with immediate
 gap filling and full coincidence processing (union-find over cosets with
-queued merges), following the standard textbook presentation.  For the
-trivial subgroup the closed table is the regular permutation
+queued merges), following the standard textbook presentation.  Its cosets
+are the group's elements, so the closed table is the regular permutation
 representation, which makes element order and element equality decidable.
 """
 
@@ -21,7 +21,8 @@ class CosetError(ValueError):
 
 
 class CosetTable:
-    """Closed coset table: cosets 0..n-1 with coset 0 the subgroup itself.
+    """Closed coset table of the trivial subgroup: cosets 0..n-1 are the
+    group's elements, coset 0 the identity.
 
     `action[g]` is the permutation sending each coset to its image under
     right multiplication by the generator g.
@@ -50,8 +51,7 @@ class CosetTable:
         return tuple(self.apply(c, w) for c in range(self.n_cosets))
 
     def element_order(self, w) -> int:
-        """Order of the image of w (exact in the regular representation,
-        i.e. when the subgroup is trivial)."""
+        """Order of the image of w."""
         perm = self.word_permutation(w)
         order = 1
         seen = set()
@@ -70,9 +70,8 @@ class CosetTable:
         return order
 
     def elements_equal(self, u, v) -> bool:
-        """Equality in the group (regular representation required for
-        faithfulness; with a nontrivial subgroup this tests equality of
-        the induced permutations only)."""
+        """Equality in the group: the regular representation is
+        faithful."""
         return self.word_permutation(u) == self.word_permutation(v)
 
 
@@ -87,12 +86,11 @@ DEFAULT_COSET_CAP = 1_000_000
 
 
 def todd_coxeter(p: Presentation,
-                 subgroup_gens: Sequence = (),
                  max_cosets: int = DEFAULT_COSET_CAP) -> CosetTable:
-    """Enumerate cosets of the subgroup generated by `subgroup_gens`.
+    """Enumerate the cosets of the trivial subgroup, i.e. the elements.
 
     Returns the closed CosetTable; raises CosetError when the coset cap
-    is exceeded (the enumeration cannot tell "infinite index" from "needs
+    is exceeded (the enumeration cannot tell "infinite group" from "needs
     more cosets", so the cap is the only stopping rule).
     """
     if max_cosets < 1:
@@ -107,19 +105,9 @@ def todd_coxeter(p: Presentation,
     def inv_col(c):
         return c ^ 1
 
-    sub_words = []
-    for w in subgroup_gens:
-        if isinstance(w, str):
-            w = word(w)
-        bad = w.generators() - set(gens)
-        if bad:
-            raise CosetError(f"subgroup generator uses unknown {bad}")
-        sub_words.append(w)
-
     relator_cols = []
     for r in p.relators:
         relator_cols.append([col[let] for let in r.letters])
-    sub_cols = [[col[let] for let in w.letters] for w in sub_words]
 
     table: List[List[Optional[int]]] = [[None] * (2 * ngens)]
     rep = [0]          # union-find representative
@@ -211,8 +199,6 @@ def todd_coxeter(p: Presentation,
             define(f, cols[i])
             alpha = find(alpha)
 
-    for cols in sub_cols:
-        scan_and_fill(0, cols)
     idx = 0
     while idx < len(table):
         if alive[idx] and find(idx) == idx:
@@ -235,6 +221,4 @@ def todd_coxeter(p: Presentation,
                 raise CosetError("table failed to close")
             perm.append(number[find(img)])
         action[g] = perm
-    if not gens:
-        action = {}
     return CosetTable(gens, action)

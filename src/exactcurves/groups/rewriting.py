@@ -67,38 +67,41 @@ def rs_kernel(p: Presentation, moduli: Sequence[int],
     bwd = {g: [coset([x - y for x, y in zip(t, imgs[g])])
                for t in residues] for g in p.generators}
 
-    # shortlex Schreier transversal (BFS over generator letters in order)
+    # shortlex Schreier transversal (BFS over generator letters in order),
+    # kept as its tree edges: (t, g) when the edge joins t and t*g, so
+    # that the representative of one is that of the other times g^+-1
     letters = []
     for g in p.generators:
         letters.append((g, 1, fwd[g]))
         letters.append((g, -1, bwd[g]))
-    transversal = [None] * order
-    transversal[0] = GroupWord()
+    reached = [False] * order
+    reached[0] = True
+    tree = set()
     queue = [0]
     while queue:
         nxt = []
         for t in queue:
             for g, e, table in letters:
                 u = table[t]
-                if transversal[u] is None:
-                    transversal[u] = transversal[t] * GroupWord([(g, e)])
+                if not reached[u]:
+                    reached[u] = True
+                    tree.add((t, g) if e == 1 else (u, g))
                     nxt.append(u)
         queue = nxt
     # the search reaches exactly the image of the map
-    reached = order - transversal.count(None)
-    if reached != order:
+    count = sum(reached)
+    if count != order:
         raise RewriteError(
-            f"images generate a subgroup of index {order // reached}, "
+            f"images generate a subgroup of index {order // count}, "
             "not the full target")
 
-    # Schreier generators: one per (coset, generator); tree edges trivial
+    # Schreier generators: one per (coset t, generator g) off the tree,
+    # since rep(t)*g*rep(t*g)^-1 reduces to 1 exactly on a tree edge
     names = []
     name_at = {g: [None] * order for g in p.generators}
     for t in range(order):
         for g in p.generators:
-            u = fwd[g][t]
-            w = transversal[t] * GroupWord.gen(g) * transversal[u].inverse()
-            if not w.is_identity():
+            if (t, g) not in tree:
                 names.append(f"y{len(names) + 1}")
                 name_at[g][t] = names[-1]
 

@@ -50,9 +50,8 @@ class GroupWord:
 
     # -- constructors --------------------------------------------------------
     @classmethod
-    def gen(cls, name: str, power: int = 1) -> "GroupWord":
-        e = 1 if power >= 0 else -1
-        return cls([(name, e)] * abs(power))
+    def gen(cls, name: str) -> "GroupWord":
+        return cls([(name, 1)])
 
     @classmethod
     def from_text(cls, text: str) -> "GroupWord":

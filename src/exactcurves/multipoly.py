@@ -555,8 +555,11 @@ def dehomogenize(f: MultiPoly, i: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 def parse_poly(text: str, varnames: Sequence[str], field=QQ) -> MultiPoly:
-    """Parse a polynomial expression with +, -, *, ^, parentheses, rational
-    literals, the listed variables, and the field's tower generator names."""
+    """Parse a polynomial expression with +, -, *, /, ^, parentheses,
+    integer literals, the listed variables, and the field's tower
+    generator names.  A sign negates the power that follows it, so -x^2
+    and 2*-x^2 are -(x^2) and 2*(-(x^2)); every product is written with
+    "*"."""
     tokens = _tokenize(text)
     parser = _Parser(tokens, varnames, field)
     poly = parser.parse_expr()
@@ -614,14 +617,7 @@ class _Parser:
             raise PolyError(f"trailing input at token {self.peek()!r}")
 
     def parse_expr(self):
-        sign = 1
-        t = self.peek()
-        if t in ("+", "-"):
-            self.next()
-            sign = -1 if t == "-" else 1
         acc = self.parse_term()
-        if sign < 0:
-            acc = -acc
         while self.peek() in ("+", "-"):
             op = self.next()
             term = self.parse_term()
@@ -644,13 +640,17 @@ class _Parser:
                 if not c:
                     raise PolyError("division by zero")
                 acc = acc * MultiPoly.const(self.vars, 1 / c, acc.field)
-            elif t is not None and (t[0].isalnum() or t in ("(",)):
-                # implicit multiplication like 2x or x y
-                acc = acc * self.parse_factor()
             else:
                 return acc
 
     def parse_factor(self):
+        # a sign negates the power that follows it: -x^2 and 2*-x^2 both
+        # read x^2 first
+        t = self.peek()
+        if t in ("+", "-"):
+            self.next()
+            f = self.parse_factor()
+            return -f if t == "-" else f
         base = self.parse_atom()
         if self.peek() == "^":
             self.next()
@@ -671,8 +671,6 @@ class _Parser:
             if self.next() != ")":
                 raise PolyError("missing closing parenthesis")
             return inner
-        if t == "-":
-            return -self.parse_atom()
         if t.isdigit():
             return MultiPoly.const(self.vars, Fraction(int(t)), self.field)
         if t in self.vars:

@@ -12,6 +12,7 @@ smoothness certificates on one disjoint cover of the plane: the point
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 
 from . import fields as fl
 from .factoring import irreducible_factors, poly_gcd
@@ -291,16 +292,21 @@ def puiseux_branches(germ: CurveGerm, truncation: int = 8):
 
 
 def _shear_away_vertical(f: MultiPoly, m: int):
-    """Substitute v -> v + lam*u so no branch is tangent to the v-axis."""
+    """Substitute v -> v + lam*u so no branch is tangent to the v-axis.
+
+    The substitution maps the degree-m cone to cone(u, v + lam*u), whose
+    u^m coefficient is cone(1, lam); lam is the least positive integer
+    where that is nonzero, one of 1..m+1 since the cone has at most m
+    roots.
+    """
     u, v = f.vars
+    cone = f.homogeneous_part(m)
+    lam = next(lam for lam in count(1)
+               if sum((c * lam ** e[1] for e, c in cone.terms.items()),
+                      f.field.zero()))
     U = MultiPoly.var(f.vars, u, f.field)
     V = MultiPoly.var(f.vars, v, f.field)
-    for lam in range(1, 20):
-        g = f.substitute({v: V + Fraction(lam) * U})
-        cone = g.homogeneous_part(g.min_degree())
-        if _cone_coeff(cone, g.min_degree(), 0):
-            return g, Fraction(lam)
-    raise GermError("no shear separates the germ from the v-axis")
+    return f.substitute({v: V + Fraction(lam) * U}), Fraction(lam)
 
 
 def _edge_roots(edge, field):

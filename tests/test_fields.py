@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -18,6 +19,11 @@ from exactcurves.multipoly import MultiPoly, factor_bounded
 QUARTIC = [Fraction(-2), Fraction(-2), Fraction(1), Fraction(-2), Fraction(1)]
 
 
+def total_degree(field):
+    """Degree of the tower over Q."""
+    return prod(level.degree for level in tower(field))
+
+
 def make_K():
     return NumberField("eta", QUARTIC)
 
@@ -32,9 +38,9 @@ def make_K1():
 def test_tower_degrees():
     K, K1 = make_K1()
     assert K.degree == 4
-    assert K.total_degree() == 4
+    assert total_degree(K) == 4
     assert K1.degree == 2
-    assert K1.total_degree() == 8
+    assert total_degree(K1) == 8
     assert K1.depth() == 2
 
 
@@ -164,7 +170,7 @@ def test_tower_depth_cap():
     K, K1 = make_K1()
     # a third extension is allowed...
     K2 = NumberField("w", [K1.one(), K1.zero(), K1.one()], K1)
-    assert K2.total_degree() == 16
+    assert total_degree(K2) == 16
     assert K2.gen() ** 2 == -1
     # ...a fourth is not
     with pytest.raises(FieldError):
@@ -214,7 +220,6 @@ def test_conjugation_automorphism():
     assert sigma(z) == -1 - z
     assert sigma(eta) == eta         # fixes the quartic subfield
     assert sigma(sigma(z)) == z      # involution
-    assert sigma.order() == 2
     a = (eta + z) * (2 - z * eta)
     assert sigma(a) == (eta + sigma(z)) * (2 - sigma(z) * eta)
 
@@ -233,7 +238,8 @@ def test_automorphism_must_map_minimal_polynomials():
     a, b = K1.coerce(K.gen()), K1.gen()
     with pytest.raises(FieldError):
         FieldAutomorphism(K1, [-a, b])
-    assert FieldAutomorphism(K1, [a, -b]).order() == 2
+    sigma = FieldAutomorphism(K1, [a, -b])
+    assert sigma(b) == -b and sigma(sigma(b)) == b
 
 
 # -- Sturm counting ----------------------------------------------------------
@@ -358,7 +364,7 @@ def test_field_from_doc_and_element_roundtrip():
     doc = {"vars": ["eta", "zeta"],
            "minpolys": ["t^4-2*t^3+t^2-2*t-2", "z^2+z+1"]}
     K1 = field_from_doc(doc)
-    assert K1.total_degree() == 8
+    assert total_degree(K1) == 8
     assert K1.name == "zeta"
     assert K1.base.name == "eta"
     eta = K1.coerce(K1.base.gen())

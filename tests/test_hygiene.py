@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 every definition in the package is read by the package itself, so none is
-kept only for the tests, every attribute the package stores is read
-somewhere, no function assigns a name it never reads, and the extension
-policy is read only in `fields`."""
+kept only for the tests, every defaulted parameter is set by some call in
+the package, every attribute the package stores is read somewhere, no
+function assigns a name it never reads, and the extension policy is read
+only in `fields`."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,15 @@ ALLOWED_UNREAD = {
         "tracer target of the singular.residual_valuation layer",
     "fields.sqrt_in_field":
         "tracer target of the fields.sqrt_in_field layer",
+}
+
+# Defaulted parameters no call in the package sets, each with the reason
+# it stays.
+ALLOWED_UNSET = {
+    "singular.certify_composite.truncation":
+        "benchmark/workloads.py passes it for the octic-germ workload",
+    "cli.main.argv":
+        "argparse's own parameter: None reads sys.argv, tests pass a list",
 }
 
 
@@ -100,6 +110,77 @@ def unread_definitions(sources):
                    for m, line in reads.get(name, [])):
                 unread.append(f"{mod}.{qual}")
     return sorted(unread)
+
+
+def _functions(node, prefix=""):
+    """(qualified name, def node, whether a method) for each function
+    at any depth under `node`."""
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, ast.FunctionDef):
+            yield prefix + sub.name, sub, isinstance(node, ast.ClassDef)
+            yield from _functions(sub, prefix + sub.name + ".")
+        elif isinstance(sub, ast.ClassDef):
+            yield from _functions(sub, prefix + sub.name + ".")
+
+
+def _defaulted(func, method):
+    """(name, position) of each parameter of `func` with a default; the
+    position counts the arguments a call passes, so a method's self or
+    cls is left out, and it is None for a keyword-only parameter."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    implicit = int(method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in func.decorator_list))
+    first = len(positional) - len(args.defaults)
+    for k, arg in enumerate(positional[first:], first):
+        yield arg.arg, k - implicit
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _sets(call, name, position):
+    """Whether `call` passes the parameter `name` at `position`, by keyword
+    or by position; a `**` argument passes every keyword and a starred one
+    every position."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_defaults(sources):
+    """Defaulted parameters, as "module.qualname.param", that no call in
+    `sources` (module name -> text) outside the function itself sets.
+
+    Calls are matched by name alone, like reads in `unread_definitions`:
+    `f(...)` and `x.f(...)` both call every function named f, and calls
+    of a class or of `__init__` call every `__init__` of that name.
+    """
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    calls = {}
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                calls.setdefault(name, []).append((mod, node))
+    unset = []
+    for mod, tree in trees.items():
+        for qual, func, method in _functions(tree):
+            names = [func.name]
+            if func.name == "__init__":
+                names.append(qual.rsplit(".", 2)[-2])
+            sites = [call for name in names for m, call in calls.get(name, [])
+                     if not (m == mod and
+                             func.lineno <= call.lineno <= func.end_lineno)]
+            for param, position in _defaulted(func, method):
+                if not any(_sets(call, param, position) for call in sites):
+                    unset.append(f"{mod}.{qual}.{param}")
+    return sorted(unset)
 
 
 def write_only_attributes(stores, readers):
@@ -264,6 +345,44 @@ def test_every_definition_is_read_in_src():
 def test_allow_list_has_no_stale_entry():
     # an entry whose name is gone from src/, or now read there, goes
     stale = set(ALLOWED_UNREAD) - set(_package_unread())
+    assert sorted(stale) == []
+
+
+def test_checker_finds_an_unset_default():
+    # `planted` and `Box.__init__`'s `size` are never passed, and
+    # `recurse` only by the function itself; `by_key` is passed by
+    # keyword, `by_pos` by position (a method's self not counted), `size2`
+    # by constructing Box, `spread` through `**`, and `keyword` (keyword
+    # only) in another module
+    sources = {
+        "a": ("def f(x, planted=1, by_key=2, *, keyword=3):\n"
+              "    return x\n"
+              "def g(recurse=0):\n    return g(recurse=1)\n"
+              "def h(spread=0):\n    return spread\n"
+              "class Box:\n"
+              "    def __init__(self, size=1, size2=2):\n"
+              "        self.size = size + size2\n"
+              "    def grow(self, by_pos=1):\n        return by_pos\n"
+              "f(0, by_key=2)\nBox().grow(2)\nh(**{})\n"),
+        "b": "from a import Box, f\nf(1, keyword=4)\nBox(size2=3)\n",
+    }
+    assert unset_defaults(sources) == ["a.Box.__init__.size", "a.f.planted",
+                                       "a.g.recurse"]
+
+
+def _package_unset():
+    return unset_defaults({
+        ".".join(p.relative_to(SRC).with_suffix("").parts): p.read_text()
+        for p in MODULES})
+
+
+def test_every_default_is_set_in_src():
+    unset = set(_package_unset()) - set(ALLOWED_UNSET)
+    assert sorted(unset) == []
+
+
+def test_unset_allow_list_has_no_stale_entry():
+    stale = set(ALLOWED_UNSET) - set(_package_unset())
     assert sorted(stale) == []
 
 

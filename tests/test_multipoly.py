@@ -42,6 +42,19 @@ def test_parse_and_expand():
     assert parse_poly("-3/4*x", XYZ) == parse_poly("(-3*x)/4", XYZ)
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("-x^2", "-1*x^2"), ("2*-x^2", "-2*x^2"), ("x*-y^2", "-1*x*y^2"),
+    ("x/-2", "-1/2*x"), ("x - -y", "x + y"), ("(-x)^2", "x^2")])
+def test_sign_negates_the_power_after_it(text, expected):
+    assert parse_poly(text, XYZ).to_text() == expected
+
+
+@pytest.mark.parametrize("text", ["2x", "x y", "2(x+1)"])
+def test_products_need_a_star(text):
+    with pytest.raises(PolyError, match="trailing input"):
+        parse_poly(text, XYZ)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(PolyError):
         parse_poly("x + w", XYZ)

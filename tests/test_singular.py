@@ -172,6 +172,20 @@ def test_fractional_branch_at_last_level_rejected(text, truncation):
         puiseux_branches(germ, truncation=truncation)
 
 
+def _lines_through_origin(n):
+    """Tangents v = j*u for j = 0..n-1, and a term of degree n + 1."""
+    return parse_poly("*".join(f"(v-{j}*u)" for j in range(n))
+                      + f" + u^{n + 1}", UV)
+
+
+@pytest.mark.parametrize("n", [4, 20])
+def test_shear_is_least_positive_integer_off_the_tangents(n):
+    # after v -> v + lam*u the u^n coefficient of the cone is
+    # lam*(lam-1)*...*(lam-n+1), nonzero first at lam = n
+    branches, shear = puiseux_branches(CurveGerm(_lines_through_origin(n)))
+    assert shear == n and len(branches) == n
+
+
 def test_unresolved_edge_factorization_is_germ_error(monkeypatch):
     # the conjugates of a root of t^4 - 2 over Q(w) go unresolved
     monkeypatch.setattr(factoring, "RECOMBINATION_BUDGET", 1)
@@ -191,6 +205,7 @@ EXPANDED = [
     ("u^2 - 2*v^2 + v^3", 8),
     ("u^2 - v^2 + v^3", 8),
     ("(u-v^2)*(v-u^2)", 8),  # tangent to v = 0: sheared first
+    ("v*(v-u)*(v-2*u)*(v-3*u) + u^5", 8),  # sheared by 4
     ("(u-v^2)*(u^2-v^6)", 3),
     # its v^8 coefficient comes from the term -2*v^7 of 2*w + w^2 - 2*v^7
     # - w*v^7 at the second level (m = 1, remaining = 7), which a degree
