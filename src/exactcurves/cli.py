@@ -271,6 +271,7 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
+    from .groups import coset
     ap = argparse.ArgumentParser(
         prog="exactcurves",
         description="Exact verification toolkit for plane curves and "
@@ -338,7 +339,8 @@ def build_parser():
     add_report(q)
     q = sg.add_parser("order", help="group order via coset enumeration")
     q.add_argument("name")
-    q.add_argument("--max-cosets", type=int, default=1_000_000)
+    q.add_argument("--max-cosets", type=int,
+                   default=coset.DEFAULT_COSET_CAP)
     add_report(q)
     q = sg.add_parser("homs", help="count homomorphisms to a small group")
     q.add_argument("name")

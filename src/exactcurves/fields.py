@@ -20,7 +20,10 @@ per output coefficient, not once per pair.  The tower stays as metadata
 (`name`, `base`, `minpoly`, `degree`, `tower`, `common_field`), and
 `coords` is a read-only view: the coordinates over the base field in the
 power basis 1, a, a^2, ..., Fractions over Q and base-field elements
-above, sliced from `num`.  Printing and automorphisms read that view.
+above, sliced from `num`.  Printing reads that view.  An automorphism
+(`FieldAutomorphism`) is Q-linear on the flat basis, so it is one integer
+matrix over one denominator, built once from the generator images, and
+applying it is one matrix-vector product on `num`.
 
 Gcds, roots and square roots come from `factoring` (`poly_gcd`, and the
 exact factorizer: Zassenhaus over Q, Trager's norm method over towers).
@@ -31,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 
@@ -658,6 +662,13 @@ class FieldAutomorphism:
     satisfies the corresponding minimal polynomial with its coefficients
     mapped through the images of the lower levels, so that the map is a
     homomorphism.
+
+    The map is Q-linear on the flat basis (see FieldElement), so it is
+    one integer matrix `_rows` over one denominator `_den`: column j is
+    the image of basis element j, a1^i1 * ... * aL^iL, the product of
+    powers of the generator images.  The columns are built level by
+    level, and each level's minimal polynomial is mapped through the
+    columns of the levels below.
     """
 
     def __init__(self, field: NumberField, gen_images: Sequence[FieldElement]):
@@ -665,26 +676,31 @@ class FieldAutomorphism:
         if len(gen_images) != len(levels):
             raise FieldError("need one generator image per tower level")
         self.field = field
-        self.gen_images = [field.coerce(g) for g in gen_images]
-        self.levels = levels
-        for level, (lvl, img) in enumerate(zip(levels, self.gen_images)):
-            mp = [self._apply_level(c, level - 1) for c in lvl.minpoly]
-            if up_eval(mp, img):
+        # the images of the flat basis of the levels done so far
+        images = [field.one()]
+        for lvl, img in zip(levels, gen_images):
+            img = field.coerce(img)
+            self._set_columns(images)
+            if up_eval([self(c) for c in lvl.minpoly], img):
                 raise FieldError(
                     f"image of {lvl.name} does not satisfy its minimal polynomial")
+            images = [b * img ** k for k in range(lvl.degree)
+                      for b in images]
+        self._set_columns(images)
+
+    def _set_columns(self, images):
+        """Make `images` the columns of the matrix: the images of the first
+        len(images) basis elements, which span the levels done so far."""
+        self._den = den = lcm(*[b.den for b in images])
+        cols = [[c * (den // b.den) for c in b.num] for b in images]
+        self._rows = [tuple(row) for row in zip(*cols)]
 
     def __call__(self, x) -> FieldElement:
         x = self.field.coerce(x)
-        return self._apply_level(x, len(self.levels) - 1)
-
-    def _apply_level(self, x, level):
-        if not isinstance(x, FieldElement):
-            return self.field.coerce(x)
-        img = self.gen_images[level]
-        acc = self.field.zero()
-        for c in reversed(x.coords):
-            acc = acc * img + self._apply_level(c, level - 1)
-        return acc
+        num = x.num
+        return FieldElement(self.field,
+                            [sum(map(mul, row, num)) for row in self._rows],
+                            self._den * x.den)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ invariant that is cheap to compute and sharp enough to distinguish the
 presentations compared here.  Targets are permutation groups (Q8 acting
 on itself by left multiplication) and cyclic groups, packaged as
 multiplication tables.
+
+Conjugating every image by one t in T maps homomorphisms to
+homomorphisms, so the count is taken once per orbit: the images of the
+first generator run over one element of each conjugacy class of T,
+weighted by the class size, and the images of each further generator
+over one element of each orbit of the centraliser of the images so far,
+weighted by the orbit size.
 """
 
 from __future__ import annotations
@@ -19,24 +26,26 @@ class HomError(ValueError):
 
 
 class FiniteGroup:
-    """Multiplication-table group: elements 0..n-1, identity 0."""
+    """Multiplication-table group: elements 0..n-1, identity 0.
+
+    Every row and column of the table must be a permutation of 0..n-1,
+    so every element has one inverse.  Associativity is not checked;
+    `standard_target` builds only groups.
+    """
 
     def __init__(self, name: str, mult: Sequence[Sequence[int]]):
         self.name = name
         self.mult = [list(row) for row in mult]
         self.order = len(self.mult)
-        if any(len(row) != self.order for row in self.mult):
-            raise HomError("multiplication table is not square")
-        if any(self.mult[0][j] != j or self.mult[j][0] != j
-               for j in range(self.order)):
+        elements = list(range(self.order))
+        if any(sorted(line) != elements
+               for line in self.mult + [list(c) for c in zip(*self.mult)]):
+            raise HomError("a row or column of the table is not a "
+                           "permutation")
+        if not elements or self.mult[0] != elements or any(
+                row[0] != j for j, row in enumerate(self.mult)):
             raise HomError("element 0 is not an identity")
-        self.inv = [None] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.mult[a][b] == 0:
-                    self.inv[a] = b
-        if any(v is None for v in self.inv):
-            raise HomError("table has a non-invertible element")
+        self.inv = [row.index(0) for row in self.mult]
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order {self.order})"
@@ -93,7 +102,11 @@ def count_homs(p: Presentation, target) -> int:
 
     Backtracking over generator images; each relator is checked as soon
     as all of its generators have images, which prunes hard on the short
-    relators typical of the corpus presentations.
+    relators typical of the corpus presentations.  Generator k's image
+    runs over one element per orbit of H, the centraliser of the earlier
+    images (the whole target for k = 0), weighted by the orbit size:
+    conjugation by H fixes the earlier images and maps the homomorphisms
+    through one element of an orbit onto those through any other.
     """
     if isinstance(target, str):
         target = standard_target(target)
@@ -114,7 +127,23 @@ def count_homs(p: Presentation, target) -> int:
     mult = target.mult
     inv = target.inv
     images = [0] * n
-    total = 0
+    orbits_of = {}
+
+    def orbits(H):
+        """(element, orbit size, its centraliser in H) for one element of
+        each orbit of the subgroup H, a sorted tuple, acting on the target
+        by conjugation."""
+        found = orbits_of.get(H)
+        if found is None:
+            found, seen = [], set()
+            for x in range(target.order):
+                if x not in seen:
+                    orbit = {mult[mult[h][x]][inv[h]] for h in H}
+                    seen |= orbit
+                    found.append((x, len(orbit), tuple(
+                        h for h in H if mult[h][x] == mult[x][h])))
+            orbits_of[H] = found
+        return found
 
     def ok(letters):
         acc = 0
@@ -123,15 +152,14 @@ def count_homs(p: Presentation, target) -> int:
             acc = mult[acc][x]
         return acc == 0
 
-    def recurse(k):
-        nonlocal total
+    def count(k, H):
         if k == n:
-            total += 1
-            return
-        for x in range(target.order):
+            return 1
+        total = 0
+        for x, size, centraliser in orbits(H):
             images[k] = x
             if all(ok(letters) for letters in rel_by_last[k]):
-                recurse(k + 1)
+                total += size * count(k + 1, centraliser)
+        return total
 
-    recurse(0)
-    return total
+    return count(0, tuple(range(target.order)))

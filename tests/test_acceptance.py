@@ -255,7 +255,9 @@ def test_property_suites_present_with_100_cases():
     here = Path(__file__).parent
     required = {
         "test_fields.py": [("test_field_axioms_random", 100),
-                           ("test_tower_arithmetic_matches_sympy", 100)],
+                           ("test_tower_arithmetic_matches_sympy", 100),
+                           ("test_automorphism_matches_generator_images",
+                            100)],
         "test_multipoly.py": [
             ("test_resultant_matches_sylvester_oracle", 100),
             ("test_resultant_multiplicative", 100),
@@ -268,7 +270,8 @@ def test_property_suites_present_with_100_cases():
         "test_groups.py": [
             ("test_sparse_invariants_match_smith_forms", 100),
             ("test_sparse_invariants_of_tall_matrices", 100),
-            ("test_images_match_sympy", 100)],
+            ("test_images_match_sympy", 100),
+            ("test_hom_counts_match_enumeration", 100)],
         "test_factoring.py": [("test_factor_matches_sympy", 100),
                               ("test_gcd_and_squarefree_match_sympy", 100)],
     }

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from exactcurves import checks as ck, curves
-from exactcurves.cli import main
+from exactcurves.cli import build_parser, main
 
 
 class TestChecksRegistry:
@@ -162,6 +162,13 @@ class TestCli:
     def test_group_order(self, capsys):
         assert main(["group", "order", "cremona24"]) == 0
         assert capsys.readouterr().out.strip() == "24"
+
+    def test_group_order_cap_is_the_library_default(self, monkeypatch):
+        # the CLI states no cap of its own: it follows todd_coxeter's
+        import exactcurves.groups.coset as coset
+        monkeypatch.setattr(coset, "DEFAULT_COSET_CAP", 17)
+        args = build_parser().parse_args(["group", "order", "cremona24"])
+        assert args.max_cosets == 17
 
     def test_group_abelianization(self, capsys):
         assert main(["group", "abelianization", "g_symp"]) == 0

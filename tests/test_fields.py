@@ -242,6 +242,55 @@ def test_automorphism_must_map_minimal_polynomials():
     assert sigma(b) == -b and sigma(sigma(b)) == b
 
 
+def _apply_by_horner(images, x, field):
+    """sigma(x) from the generator images alone: Horner's rule over the
+    coordinates of x, each coordinate mapped the same way one level down."""
+    if not isinstance(x, FieldElement):
+        return field.coerce(x)
+    img = images[x.field.depth() - 1]
+    acc = field.zero()
+    for c in reversed(x.coords):
+        acc = acc * img + _apply_by_horner(images, c, field)
+    return acc
+
+
+def _automorphism_case(seed, rng):
+    """(field, generator images) of an automorphism of a tower of depth
+    1 + seed % 3: Q(z5) with z -> z^k; Q(w)(c), c^3 = 2, with
+    w -> w or w^2 and c -> w^j c, or the paper's Q(eta)(zeta) with
+    zeta -> zeta or -1 - zeta; and Q(w)(c)(r), r^2 = 5, with r -> +-r."""
+    depth = 1 + seed % 3
+    if depth == 1:
+        K = NumberField("z", [1, 1, 1, 1, 1])
+        return K, [K.gen() ** rng.randint(1, 4)]
+    if depth == 2 and seed % 2:
+        K, K1 = make_K1()
+        z = K1.gen()
+        return K1, [K1.coerce(K.gen()), rng.choice([z, -1 - z])]
+    W = NumberField("w", [1, 1, 1])
+    C = NumberField("c", [-2, 0, 0, 1], W)
+    top = C if depth == 2 else NumberField("r", [-5, 0, 1], C)
+    w, c = top.coerce(W.gen()), top.coerce(C.gen())
+    images = [rng.choice([w, w * w]), w ** rng.randint(0, 2) * c]
+    if depth == 3:
+        images.append(rng.choice([1, -1]) * top.gen())
+    return top, images
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_automorphism_matches_generator_images(seed):
+    rng = random.Random(50_000 + seed)
+    field, images = _automorphism_case(seed, rng)
+    sigma = FieldAutomorphism(field, images)
+    levels = tower(field)
+    # values of every level of the tower, the field itself most often
+    x, y = (_random_element(rng.choice(levels + [field] * 2), rng)
+            for _ in range(2))
+    assert sigma(x) == _apply_by_horner(images, x, field)
+    assert sigma(x * y) == sigma(x) * sigma(y)
+    assert sigma(x + y) == sigma(x) + sigma(y)
+
+
 # -- Sturm counting ----------------------------------------------------------
 
 def test_sturm_quartic_has_two_real_roots():

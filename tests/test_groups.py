@@ -1135,8 +1135,54 @@ class TestHomCounting:
         with pytest.raises(HomError):
             FiniteGroup("bad", [[0, 1], [1, 1]])
 
+    def test_table_rows_and_columns_must_be_permutations(self):
+        # identity 0 and an inverse for each element, but row 1 maps both
+        # 1 and 2 to 0: no group, and class weights would be wrong on it
+        with pytest.raises(HomError):
+            FiniteGroup("planted", [[0, 1, 2], [1, 0, 0], [2, 0, 1]])
+
     def test_kernel_matches_stated_presentation(self):
         ker = rs_kernel(CORPUS["g_orb22"], (2, 2), ORB22_TO_Z2Z2)
         stated = CORPUS["g_symp"]
         for target in ("S3", "S4", "D4", "Q8"):
             assert count_homs(ker, target) == count_homs(stated, target)
+
+
+def _enumerated_homs(p, target):
+    """|Hom(p, target)| by trying all |T|^n maps of the generators."""
+    index = {g: i for i, g in enumerate(p.generators)}
+    mult, inv = target.mult, target.inv
+    total = 0
+    for images in itertools.product(range(target.order),
+                                    repeat=len(p.generators)):
+        for r in p.relators:
+            acc = 0
+            for name, e in r.letters:
+                x = images[index[name]]
+                acc = mult[acc][x if e == 1 else inv[x]]
+            if acc:
+                break
+        else:
+            total += 1
+    return total
+
+
+def _random_presentation(rng):
+    """1-3 generators and 0-3 relators of 1-6 letters."""
+    gens = ["a", "b", "c"][:rng.randint(1, 3)]
+    relators = ["*".join(rng.choice(gens) + rng.choice(["", "^-1"])
+                         for _ in range(rng.randint(1, 6)))
+                for _ in range(rng.randint(0, 3))]
+    return Presentation(gens, relators)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_hom_counts_match_enumeration(seed):
+    rng = random.Random(60_000 + seed)
+    p = _random_presentation(rng)
+    targets = ["S3", "D4", "Q8", "Z4"]
+    if len(p.generators) <= 2:
+        targets.append("S4")
+    for name in targets:
+        target = standard_target(name)
+        assert count_homs(p, target) == _enumerated_homs(p, target), name
