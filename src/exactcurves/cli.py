@@ -2,7 +2,9 @@
 
 Subcommands: field, poly, curve, group, solve, check, verify.  Reports
 are JSON documents (written with --report); console output is a short
-human-readable summary of the same content.
+human-readable summary of the same content.  A typed error of the
+package (each is a ValueError) prints "error: <message>" to stderr and
+exits with 2, as argparse does for bad arguments.
 """
 
 from __future__ import annotations
@@ -375,7 +377,11 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

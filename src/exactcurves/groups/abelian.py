@@ -13,6 +13,8 @@ class AbelianInvariants:
 
     def __init__(self, rank: int, torsion: Sequence[int]):
         torsion = tuple(int(d) for d in torsion)
+        if rank < 0:
+            raise ValueError("rank must be >= 0")
         if any(d < 2 for d in torsion):
             raise ValueError("torsion factors must be >= 2")
         for a, b in zip(torsion, torsion[1:]):

@@ -13,7 +13,7 @@ relations of the line l1 in the deltoid-with-tangents presentation, and
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .words import GroupWord
 
@@ -63,23 +63,18 @@ class BraidWord:
         return f"BraidWord(n={self.n}, {body})"
 
 
-def _gen_names(n: int, prefix: str) -> Sequence[str]:
-    return [f"{prefix}{i}" for i in range(1, n + 1)]
+def artin_act(b: BraidWord, w: GroupWord, prefix: str = "x") -> GroupWord:
+    """Image of w under the Artin action of b on the free group of rank b.n.
 
-
-def artin_act(b: BraidWord, w: GroupWord, n: int,
-              prefix: str = "x") -> GroupWord:
-    """Image of w under the Artin action of b on the free group of rank n.
-
-    Free generators are named prefix1..prefixN; letters of b act leftmost
-    first.
+    Free generators are named prefix1..prefixN with N = b.n; letters of b
+    act leftmost first.
     """
-    names = _gen_names(n, prefix)
+    names = [f"{prefix}{i}" for i in range(1, b.n + 1)]
     known = set(names)
     for g in w.generators():
         if g not in known:
             raise BraidError(f"word generator {g!r} outside {prefix}1.."
-                             f"{prefix}{n}")
+                             f"{prefix}{b.n}")
     for k in b.letters:
         i = abs(k)
         xi = GroupWord.gen(names[i - 1])

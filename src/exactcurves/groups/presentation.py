@@ -62,7 +62,7 @@ def zvk_presentation(n: int, lines: Sequence[Tuple[str, BraidWord]],
         l = GroupWord.gen(lname)
         for cname in cnames:
             ci = GroupWord.gen(cname)
-            image = artin_act(b, ci, n, "c")
+            image = artin_act(b, ci, "c")
             relators.append(
                 l.inverse() * ci * l * image.inverse())
     if infinity:

@@ -271,7 +271,8 @@ def test_property_suites_present_with_100_cases():
             ("test_sparse_invariants_match_smith_forms", 100),
             ("test_sparse_invariants_of_tall_matrices", 100),
             ("test_images_match_sympy", 100),
-            ("test_hom_counts_match_enumeration", 100)],
+            ("test_hom_counts_match_enumeration", 100),
+            ("test_g0_word_problem_planted", 100)],
         "test_factoring.py": [("test_factor_matches_sympy", 100),
                               ("test_gcd_and_squarefree_match_sympy", 100)],
     }

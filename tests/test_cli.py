@@ -262,6 +262,23 @@ class TestCli:
         doc = json.loads(report.read_text())
         assert doc["checks"][0]["status"] == "pass"
 
+    def test_typed_errors_print_message_and_exit_2(self, tmp_path, capsys):
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps({"vars": ["x"], "polys": ["y"]}))
+        for argv in (["field", "roots", "--coeffs", "0"],
+                     ["poly", "resultant", "--vars", "x", "--var", "y",
+                      "x", "x"],
+                     ["curve", "pullback", "--vars", "u", "-n", "0", "u"],
+                     ["group", "homs", "g_symp", "--target", "Z0"],
+                     ["group", "order", "g0", "--max-cosets", "10"],
+                     ["group", "derived-series", "cremona24", "--depth", "0"],
+                     ["solve", "run", str(system)],
+                     ["check", "no-such-check"]):
+            assert main(argv) == 2, argv
+            out = capsys.readouterr()
+            assert out.err.startswith("error: "), argv
+            assert "Traceback" not in out.err
+
     def test_report_flag_writes_json(self, tmp_path, capsys):
         report = tmp_path / "r.json"
         main(["group", "abelianization", "g2", "--report", str(report)])

@@ -19,7 +19,7 @@ from exactcurves.groups import (
 )
 from exactcurves.groups import abelian, rewriting
 from exactcurves.groups.abelian import _back_substitute, _reduce_packed
-from exactcurves.groups.burau import G0Error, _is_identity_in_b3
+from exactcurves.groups.burau import G0Error
 
 
 # ---------------------------------------------------------------------------
@@ -164,27 +164,33 @@ class TestBraids:
 
     def test_identity_braid_acts_trivially(self):
         w = word("x1*x2^-1*x3")
-        assert artin_act(BraidWord(4), w, 4) == w
+        assert artin_act(BraidWord(4), w) == w
 
     def test_generator_convention(self):
         x1, x2 = word("x1"), word("x2")
-        assert artin_act(BraidWord(2, (1,)), x1, 2) == word("x1*x2*x1^-1")
-        assert artin_act(BraidWord(2, (1,)), x2, 2) == x1
-        assert artin_act(BraidWord(2, (-1,)), x1, 2) == x2
-        assert artin_act(BraidWord(2, (-1,)), x2, 2) == word("x2^-1*x1*x2")
+        assert artin_act(BraidWord(2, (1,)), x1) == word("x1*x2*x1^-1")
+        assert artin_act(BraidWord(2, (1,)), x2) == x1
+        assert artin_act(BraidWord(2, (-1,)), x1) == x2
+        assert artin_act(BraidWord(2, (-1,)), x2) == word("x2^-1*x1*x2")
 
     def test_inverse_action_round_trip_simple(self):
         w = word("x1*x3^-1*x2")
         b = BraidWord(4, (2, -1, 3))
-        assert artin_act(_braid_inverse(b), artin_act(b, w, 4), 4) == w
+        assert artin_act(_braid_inverse(b), artin_act(b, w)) == w
 
     def test_out_of_range_generator_name(self):
         with pytest.raises(BraidError):
-            artin_act(BraidWord(2, (1,)), word("x3"), 2)
+            artin_act(BraidWord(2, (1,)), word("x3"))
+
+    def test_strand_count_read_from_braid(self):
+        s3 = BraidWord(4, (3,))
+        assert artin_act(s3, word("x3")) == word("x3*x4*x3^-1")
+        assert artin_act(s3, word("x4")) == word("x3")
+        assert artin_act(s3, word("x1*x2")) == word("x1*x2")
 
     def test_first_twist_images(self):
         # (s2*s1)^2 conjugation data for the first line
-        imgs = {f"c{i}": artin_act(TAU1, word(f"c{i}"), 4, "c")
+        imgs = {f"c{i}": artin_act(TAU1, word(f"c{i}"), "c")
                 for i in range(1, 5)}
         assert imgs["c1"] == word("c1*c2*c3*c2^-1*c1^-1")
         assert imgs["c2"] == word("c1*c2*c1*c2^-1*c1^-1")
@@ -193,7 +199,7 @@ class TestBraids:
 
     def test_second_twist_images(self):
         # (s2*s3)^2 conjugation data for the second line
-        imgs = {f"c{i}": artin_act(TAU2, word(f"c{i}"), 4, "c")
+        imgs = {f"c{i}": artin_act(TAU2, word(f"c{i}"), "c")
                 for i in range(1, 5)}
         assert imgs["c1"] == word("c1")
         assert imgs["c2"] == word("c2*c3*c4*c3*c4^-1*c3^-1*c2^-1")
@@ -222,7 +228,7 @@ class TestArtinProperties:
             n = rng.randint(2, 5)
             b = _random_braid(rng, n, rng.randint(1, 6))
             w = _random_word(rng, n, rng.randint(0, 8))
-            assert artin_act(_braid_inverse(b), artin_act(b, w, n), n) == w
+            assert artin_act(_braid_inverse(b), artin_act(b, w)) == w
 
     def test_product_preservation_100(self):
         rng = random.Random(422)
@@ -231,8 +237,7 @@ class TestArtinProperties:
             b = _random_braid(rng, n, rng.randint(1, 6))
             u = _random_word(rng, n, rng.randint(0, 6))
             v = _random_word(rng, n, rng.randint(0, 6))
-            assert artin_act(b, u * v, n) == \
-                artin_act(b, u, n) * artin_act(b, v, n)
+            assert artin_act(b, u * v) == artin_act(b, u) * artin_act(b, v)
 
     def test_total_product_fixed_100(self):
         rng = random.Random(423)
@@ -242,7 +247,7 @@ class TestArtinProperties:
             c = GroupWord()
             for i in range(1, n + 1):
                 c = c * word(f"x{i}")
-            assert artin_act(b, c, n) == c
+            assert artin_act(b, c) == c
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +325,13 @@ class TestMonodromyPresentation:
 
 class TestFreeProductWordProblem:
     def test_burau_detects_braid_relator(self):
-        assert _is_identity_in_b3([1, 2, 1, -2, -1, -2])
-        assert not _is_identity_in_b3([1, 2, 1, -2, -1, 2])
+        assert g0_is_trivial(word("c1*c2*c1*c2^-1*c1^-1*c2^-1"))
+        assert not g0_is_trivial(word("c1*c2*c1*c2^-1*c1^-1*c2"))
+
+    def test_corpus_relators_trivial(self):
+        # the corpus presentation and the factor tables describe one group
+        for r in CORPUS["g0"].relators:
+            assert g0_is_trivial(r)
 
     def test_braid_relator_words_trivial(self):
         assert g0_is_trivial(word("c1*c2*c1*c2^-1*c1^-1*c2^-1"))
@@ -347,6 +357,78 @@ class TestFreeProductWordProblem:
 
     def test_monodromy_commutation_control_fails(self):
         assert verify_g0_relations(tau2=BraidWord(4, (2, 2))) is False
+
+
+_G0_FACTORS = (("c1", "c2"), ("c3", "c4"))
+
+
+def _random_g0_word(rng, names, length):
+    return GroupWord([(rng.choice(names), rng.choice([1, -1]))
+                      for _ in range(length)])
+
+
+def _b3_trivial(w):
+    """Oracle for a one-factor word: the Artin action of B_3 on x1..x3
+    is faithful, so the braid is trivial iff it fixes each x_i."""
+    sigma = {"c1": 1, "c2": 2, "c3": 1, "c4": 2}
+    b = BraidWord(3, [sigma[n] * e for n, e in w.letters])
+    return all(artin_act(b, word(f"x{i}")) == word(f"x{i}")
+               for i in (1, 2, 3))
+
+
+def _nontrivial_in(rng, names):
+    while True:
+        w = _random_g0_word(rng, names, rng.randint(1, 8))
+        if not _b3_trivial(w):
+            return w
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_g0_word_problem_planted(seed):
+    rng = random.Random(70_000 + seed)
+    names = _G0_FACTORS[0] + _G0_FACTORS[1]
+    relators = CORPUS["g0"].relators
+    # products of conjugates of the braid relators are trivial
+    planted = GroupWord()
+    for _ in range(rng.randint(1, 4)):
+        u = _random_g0_word(rng, names, rng.randint(0, 6))
+        r = rng.choice(relators)
+        r = r if rng.random() < 0.5 else r.inverse()
+        planted = planted * u * r * u.inverse()
+    assert g0_is_trivial(planted)
+    # a nonzero exponent sum in either factor is nontrivial
+    w = planted * _random_g0_word(rng, names, rng.randint(1, 10))
+    if all(sum(e for n, e in w.letters if n in f) == 0
+           for f in _G0_FACTORS):
+        w = w * word(rng.choice(names))
+    assert not g0_is_trivial(w)
+    # [a, b] with nontrivial a, b from different factors is nontrivial;
+    # b is half the time a's copy, which commutes with a inside one B_3
+    a = _nontrivial_in(rng, _G0_FACTORS[0])
+    if rng.random() < 0.5:
+        b = a.substituted({"c1": word("c3"), "c2": word("c4")})
+    else:
+        b = _nontrivial_in(rng, _G0_FACTORS[1])
+    assert not g0_is_trivial(a * b * a.inverse() * b.inverse())
+    # one-factor words of length <= 12 agree with the Artin action
+    f = rng.choice(_G0_FACTORS)
+    u = _random_g0_word(rng, f, rng.randint(0, 3))
+    if rng.random() < 0.5:
+        r = next(r for r in relators if r.generators() <= set(f)).letters
+        k = rng.randrange(len(r))
+        core = GroupWord(r[k:] + r[:k])
+    else:
+        core = _random_g0_word(rng, f, rng.randint(0, 6))
+    w = u * core * u.inverse()
+    assert len(w) <= 12
+    assert g0_is_trivial(w) == _b3_trivial(w)
+    # Delta^4 = (s1 s2)^6 generates the kernel of B_3 -> SL(2, Z); it and
+    # Delta^2 are nontrivial, also when conjugated
+    for x, y in _G0_FACTORS:
+        u = _random_g0_word(rng, names, rng.randint(0, 4))
+        for k in (3, 6):
+            delta = word("*".join([f"{x}*{y}"] * k))
+            assert not g0_is_trivial(u * delta * u.inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +472,8 @@ class TestSmithNormalForm:
             AbelianInvariants(0, (4, 2))
         with pytest.raises(ValueError):
             AbelianInvariants(0, (1,))
+        with pytest.raises(ValueError):
+            AbelianInvariants(-1, ())
 
     def test_describe(self):
         assert AbelianInvariants(9, (2, 2, 2, 2, 2, 4)).describe() == \
