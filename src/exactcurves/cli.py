@@ -103,12 +103,11 @@ def _print_curve_report(rep, indent=""):
 
 def _cmd_curve(args):
     from .curves import (appendix_b_mappings, assemble_appendix_b,
-                         certify_curve_spec, corpus_get, kummer_pullback)
+                         certify_curve_spec, corpus_get, corpus_names,
+                         kummer_pullback)
     from .multipoly import parse_poly
     if args.curve_cmd == "list":
-        from .curves import _data_text
-        names = sorted(json.loads(_data_text("curves.json")))
-        print("\n".join(names))
+        print("\n".join(corpus_names()))
         return 0
     if args.curve_cmd == "certify":
         rep = certify_curve_spec(corpus_get(args.name))

@@ -31,7 +31,12 @@ def _data_text(name: str) -> str:
 
 
 def parse_constant(text: str, field):
-    """Parse a constant expression (tower generators allowed) to an element."""
+    """Parse a constant expression: a `Fraction` for rational text, else an
+    element of `field` (tower generators allowed)."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        pass
     p = parse_poly(text, (), field)
     if not p.terms:
         return field.zero()
@@ -42,7 +47,7 @@ class CurveRecord:
     """A named curve: polynomial, field, declared points and automorphisms."""
 
     def __init__(self, name, poly, field, singular_points, automorphisms,
-                 affine=False, smooth=False, extra_points=None):
+                 affine=False, smooth=False):
         self.name = name
         self.poly = poly
         self.field = field
@@ -50,7 +55,6 @@ class CurveRecord:
         self.automorphisms = automorphisms      # [(name, matrix, expected)]
         self.affine = affine
         self.smooth = smooth
-        self.extra_points = extra_points or []  # same shape, other fields
 
     def __repr__(self):
         return f"CurveRecord({self.name})"
@@ -59,57 +63,43 @@ class CurveRecord:
 _CORPUS_CACHE = {}
 
 
+def corpus_names() -> list:
+    """The names of the corpus curves, sorted."""
+    return sorted(json.loads(_data_text("curves.json")))
+
+
 def corpus_get(name: str) -> CurveRecord:
-    """The published equation (and declared data) for a corpus curve."""
+    """The published equation (and declared data) for a corpus curve.
+
+    The coordinates of the declared points lie in the curve's field, or in
+    its "points_field" when the entry names one; that field is built once,
+    so points over it compare equal exactly when they are equal.
+    """
     if name in _CORPUS_CACHE:
         return _CORPUS_CACHE[name]
-    data = json.loads(_data_text("curves.json"))
-    if name not in data:
-        raise CurveError(f"unknown curve {name!r}; known: {sorted(data)}")
-    entry = data[name]
+    entry = json.loads(_data_text("curves.json")).get(name)
+    if entry is None:
+        raise CurveError(f"unknown curve {name!r}; known: {corpus_names()}")
     field = field_from_doc(entry["field"]) if entry["field"] else QQ
     poly = parse_poly(entry["poly"], tuple(entry["vars"]), field)
-    pts = _declared_points(entry.get("singular_points", []), field)
-    autos = []
-    for a in entry.get("automorphisms", []):
-        M = [[parse_constant(c, field) if not _is_rational(c)
-              else Fraction(c) for c in row] for row in a["matrix"]]
-        autos.append((a["name"], M, a["invariant"]))
-    extra = []
-    if entry.get("singular_points_file"):
-        extra = _load_point_file(entry["singular_points_file"])
+    points_field = field_from_doc(entry["points_field"]) \
+        if "points_field" in entry else field
+    pts = _declared_points(entry.get("singular_points", []), points_field)
+    autos = [(a["name"], [[parse_constant(c, field) for c in row]
+                          for row in a["matrix"]], a["invariant"])
+             for a in entry.get("automorphisms", [])]
     rec = CurveRecord(name, poly, field, pts, autos,
                       affine=entry.get("affine", False),
-                      smooth=entry.get("smooth", False),
-                      extra_points=extra)
+                      smooth=entry.get("smooth", False))
     _CORPUS_CACHE[name] = rec
     return rec
 
 
 def _declared_points(entries, field):
-    """[(coords tuple, type)] from the data files' point entries."""
-    return [(tuple(parse_constant(c, field) if not _is_rational(c)
-                   else Fraction(c) for c in p["coords"]), p["type"])
+    """[(coords tuple, type)] from the data files' point entries
+    {"coords": [...], "type": T}."""
+    return [(tuple(parse_constant(c, field) for c in p["coords"]), p["type"])
             for p in entries]
-
-
-def _is_rational(text):
-    try:
-        Fraction(text)
-        return True
-    except ValueError:
-        return False
-
-
-def _load_point_file(fname):
-    doc = json.loads(_data_text(fname))
-    field = field_from_doc(doc["field"])
-    pts = []
-    for p in doc["representative_points"]:
-        coords = tuple(parse_constant(c, field)
-                       for c in p["coords_in_beta"])
-        pts.append((coords, p["type"]))
-    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +380,7 @@ def certify_curve_spec(record: CurveRecord):
             return CurveGerm(record.poly, coords)
         return projective_germ(record.poly, coords)
 
-    all_points = list(record.singular_points) + list(record.extra_points)
-    for coords, expected in all_points:
+    for coords, expected in record.singular_points:
         entry = {"coords": [str(c) for c in coords], "expected": expected}
         try:
             germ = germ_for(coords)
@@ -418,7 +407,7 @@ def certify_curve_spec(record: CurveRecord):
 
     # pairwise distinctness of projective points over a common field
     if not record.affine:
-        report["points_distinct"] = _points_distinct(all_points)
+        report["points_distinct"] = _points_distinct(record.singular_points)
         report["ok"] = conjoin(report["ok"], report["points_distinct"])
 
     for name, M, expected in record.automorphisms:

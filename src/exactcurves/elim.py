@@ -20,9 +20,10 @@ import time
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import fields as fl
+from .factoring import poly_gcd
 from .fields import FieldError, QQ
 from .multipoly import (MultiPoly, factor_bounded, leading_term, parse_poly,
-                        poly_gcd_univ, resultant)
+                        resultant)
 
 
 class ElimError(ValueError):
@@ -400,12 +401,12 @@ def _univariate_step(gens, var: str, field, assign: Mapping):
         univs.append(h)
     if not univs:
         return None
-    g = univs[0]
-    for h in univs[1:]:
-        g = poly_gcd_univ(g, h, var)
-    if g.degree_in(var) <= 0:
+    f = univs[0]
+    g = poly_gcd([h.univariate_coeffs(var) for h in univs], f.field)
+    if len(g) <= 1:
         return [], []
-    _c, facs, unres = factor_bounded(g, var)
+    _c, facs, unres = factor_bounded(
+        MultiPoly.from_univariate(g, f.vars, var, f.field), var)
     return [p for p, _m in facs], [p for p, _m in unres]
 
 

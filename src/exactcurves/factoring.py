@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
@@ -44,18 +45,25 @@ RECOMBINATION_BUDGET = 1 << 16
 PRIME_TRIALS = 5
 
 
-def poly_gcd(a, b, field):
-    """Monic gcd over `field` of two coefficient lists ([] when both are 0).
+def poly_gcd(polys, field):
+    """Monic gcd over `field` of any number of coefficient lists ([] when
+    all are 0).
 
     This is the one place that picks a gcd algorithm: over Q the primitive
     remainder sequence over Z, over a tower Euclid's algorithm.
     """
-    a, b = up_trim(a), up_trim(b)
-    if isinstance(field, RationalField) and a and b:
-        return _monic(_gcd_z(_integral(a), _integral(b)))
+    polys = [p for p in map(up_trim, polys) if p]
+    if not polys:
+        return []
+    if isinstance(field, RationalField):
+        return _monic(reduce(_gcd_z, map(_integral, polys)))
+    return up_monic(reduce(_euclid, polys))
+
+
+def _euclid(a, b):
     while b:
         a, b = b, up_divmod(a, b)[1]
-    return up_monic(a)
+    return a
 
 
 def squarefree_decomposition(poly, field):
@@ -83,13 +91,13 @@ def squarefree_decomposition(poly, field):
     # Yun: with a = gcd(f, f'), b = f/a and c = f'/a, each round splits off
     # g = gcd(b, c - b'), the product of the factors of multiplicity i
     d = up_derivative(f)
-    a = poly_gcd(f, d, field)
+    a = poly_gcd([f, d], field)
     b, c = up_divmod(f, a)[0], up_divmod(d, a)[0]
     parts = []
     i = 1
     while len(b) > 1:
         c = up_sub(c, up_derivative(b))
-        g = poly_gcd(b, c, field)
+        g = poly_gcd([b, c], field)
         if len(g) > 1:
             parts.append((g, i))
         b, c = up_divmod(b, g)[0], up_divmod(c, g)[0]
@@ -145,7 +153,7 @@ def _factor_tower(f, K):
         return [f], []
 
     def split(h):
-        q = poly_gcd(g, [K.coerce(c) for c in h], K)
+        q = poly_gcd([g, [K.coerce(c) for c in h]], K)
         return _shift(q, s * a) if s else q
     return [split(h) for h in parts], [split(h) for h in rest]
 

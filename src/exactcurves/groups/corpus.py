@@ -21,8 +21,8 @@ quotients:
 from __future__ import annotations
 
 from .braids import BraidWord
-from .presentation import Presentation, quotient_by_relations, \
-    zvk_presentation
+from .presentation import Presentation, PresentationError, \
+    quotient_by_relations, zvk_presentation
 
 TAU1 = BraidWord(4, (2, 1, 2, 1))     # full twist around the first cusp
 TAU2 = BraidWord(4, (2, 3, 2, 3))     # full twist around the second cusp
@@ -71,6 +71,6 @@ ORB22_TO_Z2Z2 = {"c1": (0, 0), "c2": (0, 0), "c3": (0, 0), "c4": (0, 0),
 
 def get(name: str) -> Presentation:
     if name not in CORPUS:
-        raise KeyError(
+        raise PresentationError(
             f"unknown group {name!r}; corpus: {sorted(CORPUS)}")
     return CORPUS[name]

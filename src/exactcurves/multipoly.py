@@ -491,19 +491,11 @@ def resultant(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# univariate gcd, squarefree decomposition and factoring (`factoring`)
+# univariate squarefree decomposition and factoring (`factoring`)
 # ---------------------------------------------------------------------------
 
 def _univariate(coeffs, f, name):
     return MultiPoly.from_univariate(coeffs, f.vars, name, f.field)
-
-
-def poly_gcd_univ(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
-    """Monic gcd (`factoring.poly_gcd`) of two polynomials univariate in
-    `name`."""
-    return _univariate(factoring.poly_gcd(
-        f.univariate_coeffs(name), g.univariate_coeffs(name), f.field),
-        f, name)
 
 
 def squarefree_decomposition(f: MultiPoly, name: str):

@@ -501,7 +501,7 @@ def certify_smooth_projective(f: MultiPoly):
     if not any(p.terms.get((d - 1, 0, 0)) for p in partials):
         return verdict(False, "the partials vanish at (1:0:0)")
     # points (t:1:0); a homogeneous partial has one term per power of t
-    g = _gcd_all([[p.terms.get((k, d - 1 - k, 0), field.zero())
+    g = poly_gcd([[p.terms.get((k, d - 1 - k, 0), field.zero())
                    for k in range(d)] for p in partials], field)
     if fl.up_deg(g) != 0:
         return verdict(False, "the partials share a zero on the line z = 0")
@@ -518,7 +518,7 @@ def certify_smooth_projective(f: MultiPoly):
         # lower degree: h, hence F, is reducible
         return verdict(False, "zero resultant in x: F is reducible, hence "
                        "singular where its components meet")
-    g = _gcd_all([r.univariate_coeffs(y) for r in res], field)
+    g = poly_gcd([r.univariate_coeffs(y) for r in res], field)
     if fl.up_deg(g) == 0:
         return verdict(True, "chart z = 1: the resultants in x have a "
                        "constant gcd in y; no common zero")
@@ -531,7 +531,7 @@ def certify_smooth_projective(f: MultiPoly):
             decided = False
             continue
         at_r = [p.substitute({y: r}) for p in chart]
-        if fl.up_deg(_gcd_all([p.univariate_coeffs(x) for p in at_r],
+        if fl.up_deg(poly_gcd([p.univariate_coeffs(x) for p in at_r],
                               at_r[0].field)) != 0:
             return verdict(False, f"chart z = 1: common zero of the "
                            f"partials at {y} = {r}")
@@ -539,11 +539,3 @@ def certify_smooth_projective(f: MultiPoly):
         return verdict(None, "chart z = 1: a candidate factor is unresolved "
                        "or beyond supported extensions; inconclusive")
     return verdict(True, "chart z = 1: no candidate y-value is a common zero")
-
-
-def _gcd_all(polys, field):
-    """Monic gcd of coefficient lists over `field`; [] when all are 0."""
-    g = []
-    for p in polys:
-        g = poly_gcd(g, p, field)
-    return g

@@ -272,6 +272,7 @@ class TestCli:
                      ["group", "homs", "g_symp", "--target", "Z0"],
                      ["group", "order", "g0", "--max-cosets", "10"],
                      ["group", "derived-series", "cremona24", "--depth", "0"],
+                     ["group", "show", "nosuch"],
                      ["solve", "run", str(system)],
                      ["check", "no-such-check"]):
             assert main(argv) == 2, argv

@@ -1,10 +1,12 @@
 """Tests for the curve corpus, transformations, and the octic assembly."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from exactcurves import curves
 from exactcurves.curves import (CurveError, CurveRecord, appendix_b_mappings,
                                 assemble_appendix_b, c82_singular_system,
                                 certify_curve_spec, corpus_get,
@@ -145,7 +147,7 @@ def test_c83_quartic_constants_live_in_quartic_subfield():
 def test_off_axis_point_data_consistent():
     # the declared parametrization satisfies the curve and its root data
     rec = corpus_get("c82")
-    (coords, typ), _ = rec.extra_points[0], None
+    (coords, typ), _ = rec.singular_points[2], None
     assert typ == "E6"
     field = coords[1].field
     f = rec.poly.to_field(field)
@@ -160,9 +162,47 @@ def test_off_axis_point_data_consistent():
     assert sturm_real_roots(root_poly) == 0
 
 
+def test_c82_off_axis_points_share_one_field(monkeypatch):
+    # equal points over two copies of Q(beta) compare unequal, so the
+    # record builds its points field once: a point declared twice is
+    # found, not passed as distinct
+    rec = corpus_get("c82")
+    (p, _), (q, _) = rec.singular_points[2:]
+    assert p[1].field is q[1].field
+    doc = json.loads(curves._data_text("curves.json"))
+    doc["c82"]["singular_points"].append(doc["c82"]["singular_points"][2])
+    monkeypatch.setattr(curves, "_data_text", lambda _name: json.dumps(doc))
+    monkeypatch.setattr(curves, "_CORPUS_CACHE", {})
+    twice = corpus_get("c82")
+    assert len(twice.singular_points) == 5
+    assert twice.singular_points[4][0] == twice.singular_points[2][0]
+    rep = certify_curve_spec(twice)
+    assert rep["points_distinct"] is False
+    assert rep["ok"] is False
+
+
+def test_c82_off_axis_point_off_the_curve_fails():
+    rec = corpus_get("c82")
+    (x, y, z), typ = rec.singular_points[2]
+    moved = CurveRecord("c82_moved", rec.poly, rec.field,
+                        [*rec.singular_points[:2], ((x + 1, y, z), typ)], [])
+    rep = certify_curve_spec(moved)
+    assert rep["points"][2]["ok"] is False
+    assert rep["ok"] is False
+
+
+def test_parse_constant_rational_text_is_a_fraction():
+    K = NumberField("eta", [Fraction(-2), Fraction(-2), Fraction(1),
+                            Fraction(-2), Fraction(1)])
+    half = parse_constant("3/2", K)
+    assert type(half) is Fraction and half == Fraction(3, 2)
+    e = parse_constant("eta + 1", K)
+    assert e.field is K and e == K.gen() + 1
+
+
 def test_c82_singular_system_vanishes_at_declared_point():
     rec = corpus_get("c82")
-    coords, _t = rec.extra_points[0]
+    coords, _t = rec.singular_points[2]
     field = coords[1].field
     names, polys = c82_singular_system()
     assert names == ("x", "y")

@@ -174,7 +174,7 @@ def test_gcd_and_squarefree_match_sympy(seed):
     common = planted()
     a = product([common, planted()], field)
     b = product([common] * rng.randint(1, 2) + [planted()], field)
-    g = poly_gcd(a, b, field)
+    g = poly_gcd([a, b], field)
     assert g[-1] == 1
     assert sympy_poly(g, field) == \
         sympy_poly(a, field).gcd(sympy_poly(b, field)).monic()
@@ -190,6 +190,10 @@ def test_gcd_and_squarefree_match_sympy(seed):
     want = sympy_poly(f, field).sqf_list()[1]
     assert sorted((m, len(q) - 1) for q, m in parts) == \
         sorted((m, q.degree()) for q, m in want)
+    # the gcd of three: a third multiple of `common` joins a and b
+    c = product([common, planted()], field)
+    assert sympy_poly(poly_gcd([a, b, c], field), field) == \
+        sympy_poly(g, field).gcd(sympy_poly(c, field)).monic()
 
 
 # -- the process never loads mpmath ------------------------------------------

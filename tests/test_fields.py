@@ -494,7 +494,7 @@ def test_up_gcd_is_common_divisor():
         p, q = up_mul(g, a), up_mul(g, b)
         if not p or not q:
             continue
-        d = poly_gcd(p, q, K)
+        d = poly_gcd([p, q], K)
         assert not up_divmod(p, d)[1]
         assert not up_divmod(q, d)[1]
 

@@ -2,8 +2,8 @@
 every definition in the package is read by the package itself, so none is
 kept only for the tests, every defaulted parameter is set by some call in
 the package, every attribute the package stores is read somewhere, no
-function assigns a name it never reads, and the extension policy is read
-only in `fields`."""
+function assigns a name it never reads, the extension policy is read
+only in `fields`, and the package's data files only in `curves`."""
 
 import ast
 from pathlib import Path
@@ -286,6 +286,35 @@ def test_extension_policy_is_read_only_in_fields(name):
     # module names a new level or consults the policy table itself
     sources = {p.stem: p.read_text() for p in MODULES}
     assert modules_reading(sources, name) == ["fields"]
+
+
+def data_file_readers(sources):
+    """The modules of `sources` other than `curves` that read a data file
+    of the package: through `curves._data_text` or `importlib.resources`."""
+    return sorted({mod for name in ("_data_text", "resources")
+                   for mod in modules_reading(sources, name)} - {"curves"})
+
+
+def test_checker_finds_a_data_file_read_outside_curves():
+    # `checks` imports the reader inside a function, `cli` reads it as an
+    # attribute and `solve` opens the package data itself
+    sources = {"curves": ("from importlib import resources\n"
+                          "def _data_text(name):\n"
+                          "    return resources.files('d').joinpath(name)\n"),
+               "checks": ("def f():\n"
+                          "    from .curves import _data_text\n"
+                          "    return _data_text('p.json')\n"),
+               "cli": "from . import curves\ncurves._data_text('c.json')\n",
+               "solve": "import importlib.resources\n"
+                        "importlib.resources.files('d')\n"}
+    assert data_file_readers(sources) == ["checks", "cli", "solve"]
+
+
+def test_data_files_are_read_only_in_curves():
+    # every data file is parsed in `curves`; other modules ask it for
+    # records, points and names
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert data_file_readers(sources) == []
 
 
 def test_checker_finds_a_dead_store():

@@ -9,7 +9,7 @@ from exactcurves.factoring import poly_gcd
 from exactcurves.fields import QQ, FieldError, NumberField, up_derivative
 from exactcurves.multipoly import (
     MultiPoly, PolyError, exact_div, factor_bounded, parse_poly,
-    poly_gcd_univ, resultant, squarefree_decomposition, squarefree_part,
+    resultant, squarefree_decomposition, squarefree_part,
 )
 from test_fields import _sparse_element, _sympy_tower, make_K2
 
@@ -292,9 +292,14 @@ def test_coefficients_are_coerced_into_the_field():
 # -- gcd / squarefree --------------------------------------------------------
 
 def test_gcd_univ():
-    f = parse_poly("(x-1)*(x-2)^2", ("x",))
-    g = parse_poly("(x-1)*(x-3)", ("x",))
-    assert poly_gcd_univ(f, g, "x") == parse_poly("x-1", ("x",))
+    f, g, h = (parse_poly(t, ("x",)).univariate_coeffs("x")
+               for t in ("(x-1)*(x-2)^2", "(x-1)*(x-3)", "2*(x-1)*(x-2)"))
+    assert poly_gcd([f, g], QQ) == [-1, 1]
+    assert poly_gcd([f, h], QQ) == [2, -3, 1]
+    assert poly_gcd([f, h, g], QQ) == [-1, 1]
+    # a zero list does not change the gcd; all zero gives []
+    assert poly_gcd([[], h, [0]], QQ) == [2, -3, 1]
+    assert poly_gcd([[], [0, 0]], QQ) == []
 
 
 def test_squarefree_decomposition():
@@ -323,7 +328,7 @@ def test_squarefree_parts_are_squarefree(seed):
     _, parts = squarefree_decomposition(g, "x")
     for p, _m in parts:
         cs = p.univariate_coeffs("x")
-        assert len(poly_gcd(cs, up_derivative(cs), QQ)) == 1  # gcd is 1
+        assert len(poly_gcd([cs, up_derivative(cs)], QQ)) == 1  # gcd is 1
     # multiplicity-weighted product reconstructs g up to content
     acc = MultiPoly.const(("x",), 1)
     for p, m in parts:
