@@ -3,8 +3,9 @@
 Subcommands: field, poly, curve, group, solve, check, verify.  Reports
 are JSON documents (written with --report); console output is a short
 human-readable summary of the same content.  A typed error of the
-package (each is a ValueError) prints "error: <message>" to stderr and
-exits with 2, as argparse does for bad arguments.
+package (each is a ValueError), or a file that cannot be read or written
+(an OSError, whose message names the path), prints "error: <message>" to
+stderr and exits with 2, as argparse does for bad arguments.
 """
 
 from __future__ import annotations
@@ -378,7 +379,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,7 +47,7 @@ class CurveRecord:
     """A named curve: polynomial, field, declared points and automorphisms."""
 
     def __init__(self, name, poly, field, singular_points, automorphisms,
-                 affine=False, smooth=False):
+                 affine=False, smooth=False, cusp_tangents_concurrent=False):
         self.name = name
         self.poly = poly
         self.field = field
@@ -55,6 +55,7 @@ class CurveRecord:
         self.automorphisms = automorphisms      # [(name, matrix, expected)]
         self.affine = affine
         self.smooth = smooth
+        self.cusp_tangents_concurrent = cusp_tangents_concurrent
 
     def __repr__(self):
         return f"CurveRecord({self.name})"
@@ -90,7 +91,9 @@ def corpus_get(name: str) -> CurveRecord:
              for a in entry.get("automorphisms", [])]
     rec = CurveRecord(name, poly, field, pts, autos,
                       affine=entry.get("affine", False),
-                      smooth=entry.get("smooth", False))
+                      smooth=entry.get("smooth", False),
+                      cusp_tangents_concurrent=entry.get(
+                          "cusp_tangents_concurrent", False))
     _CORPUS_CACHE[name] = rec
     return rec
 
@@ -239,7 +242,7 @@ def _appendix_b_data():
 
 def appendix_b_mappings():
     """The candidate resolutions of the ambiguous constant names."""
-    return _appendix_b_data()[2]["candidate_mappings"]
+    return json.loads(_data_text("appendix_b.json"))["candidate_mappings"]
 
 
 def assemble_appendix_b(mapping):
@@ -423,7 +426,7 @@ def certify_curve_spec(record: CurveRecord):
         report["smooth"] = ok
         report["ok"] = conjoin(report["ok"], ok)
 
-    if record.name == "deltoid_symmetric":
+    if record.cusp_tangents_concurrent:
         pts = [coords for coords, _t in record.singular_points]
         _lines, concurrent = tangent_lines_and_concurrency(record.poly, pts)
         report["cusp_tangents_concurrent"] = concurrent

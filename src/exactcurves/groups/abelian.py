@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import struct
+import sys
 from typing import Sequence
 
 from .presentation import Presentation
@@ -201,10 +203,11 @@ def _sparse_smith(rows):
     they are back-substituted (`_back_substitute`), every other row is
     reduced in one pass (`_reduce_packed`), and the next level starts from
     those rows.  A level whose short half has no unit entry eliminates on
-    all of its rows instead, and its non-unit remnant is folded row by row
-    into a reduced row Hermite normal form, which keeps its entries small
-    (Havas, Holt and Rees 1993); the Smith form only sees that HNF, which
-    has no more rows than columns.
+    all of its rows instead, if its long half has one (a pass without a
+    unit entry cannot pivot), and its non-unit remnant is folded row by
+    row into a reduced row Hermite normal form, which keeps its entries
+    small (Havas, Holt and Rees 1993); the Smith form only sees that HNF,
+    which has no more rows than columns.
 
     Returns (maps, live, diag, V).  `maps` lists each level's
     back-substituted pivots; applied in turn, their maps e_c -> -w0*q_c
@@ -216,13 +219,14 @@ def _sparse_smith(rows):
     maps = []
     while True:
         half = (len(rows) + 1) // 2
-        pivots, rest = _unit_eliminate(rows[:half])
-        if not pivots:
+        if not any(map(_has_unit, rows[:half])):
             break
+        pivots, rest = _unit_eliminate(rows[:half])
         maps.append(_back_substitute(pivots))
         rows = sorted(_reduce_packed(maps[-1], rest + rows[half:]), key=len)
-    pivots, rows = _unit_eliminate(rows)
-    maps.append(_back_substitute(pivots))
+    if any(map(_has_unit, rows[half:])):
+        pivots, rows = _unit_eliminate(rows)
+        maps.append(_back_substitute(pivots))
     live = sorted({j for r in rows for j in r})
     colmap = {j: k for k, j in enumerate(live)}
     remnant = set()
@@ -259,12 +263,6 @@ def _unit_eliminate(rows):
     buckets = {}    # length -> ids of rows holding a unit entry
     filed = {}      # row id -> the length it is filed under
 
-    def file(i):
-        r = rows[i]
-        if 1 in r.values() or -1 in r.values():
-            buckets.setdefault(len(r), set()).add(i)
-            filed[i] = len(r)
-
     def unfile(i):
         n = filed.pop(i, None)
         if n is not None:
@@ -273,8 +271,10 @@ def _unit_eliminate(rows):
             if not bucket:
                 del buckets[n]
 
-    for i in rows:
-        file(i)
+    for i, r in rows.items():
+        if _has_unit(r):
+            buckets.setdefault(len(r), set()).add(i)
+            filed[i] = len(r)
     pivots = []
     while buckets:
         shortest = itertools.islice(itertools.chain.from_iterable(
@@ -288,25 +288,36 @@ def _unit_eliminate(rows):
         for j in pivot:
             col_rows[j].discard(i0)
         v0 = pivot.pop(j0)
+        items = list(pivot.items())
         for i in col_rows.pop(j0):
             unfile(i)
             r = rows[i]
+            get = r.get
             f = r.pop(j0) * v0  # v0 in {1,-1}: multiplier so column vanishes
-            for j, v in pivot.items():
-                nv = r.get(j, 0) - f * v
-                if nv:
-                    if j not in r:
-                        col_rows[j].add(i)
-                    r[j] = nv
-                elif j in r:
-                    del r[j]
-                    col_rows[j].discard(i)
-            if r:
-                file(i)
-            else:
+            for j, v in items:
+                old = get(j)
+                if old is None:         # f, v != 0: a new nonzero entry
+                    col_rows[j].add(i)
+                    r[j] = -f * v
+                else:
+                    nv = old - f * v
+                    if nv:
+                        r[j] = nv
+                    else:
+                        del r[j]
+                        col_rows[j].discard(i)
+            if not r:
                 del rows[i]
+            elif 1 in r.values() or -1 in r.values():
+                n = len(r)
+                buckets.setdefault(n, set()).add(i)
+                filed[i] = n
         pivots.append((j0, v0, pivot))
     return pivots, list(rows.values())
+
+
+def _has_unit(r):
+    return 1 in r.values() or -1 in r.values()
 
 
 def _back_substitute(pivots):
@@ -331,6 +342,10 @@ def _back_substitute(pivots):
     return q
 
 
+# Signed memoryview formats by their native item size in bytes
+_CASTS = {struct.calcsize(f): f for f in "bhiq"}
+
+
 def _reduce_packed(q, rows):
     """The rows reduced by the pivots q of `_back_substitute`, as dicts on
     the live columns, each once up to sign and none zero.
@@ -339,30 +354,36 @@ def _reduce_packed(q, rows):
     image under the map e_c -> -w0*q_c.  Each row is summed as one int with
     a slot of W bits per live column (Kronecker substitution, Harvey 2009);
     no reduced entry exceeds (L1 norm of r) * max(1, max |q|) in size,
-    which W holds as a signed slot, so every slot reads back exactly."""
+    which W holds as a signed slot, so every slot reads back exactly.  W is
+    the smallest item size of a `memoryview` cast that holds the bound, so
+    each row reads back in one cast; wider slots are read one by one."""
     live = sorted({j for r in rows for j in r if j not in q}
                   | {j for _w0, row in q.values() for j in row})
     qmax = max((abs(v) for _w0, row in q.values() for v in row.values()),
                default=1)
     bound = max((sum(map(abs, r.values())) for r in rows), default=0) * qmax
     width = bound.bit_length() // 8 + 1      # bytes: bound < 2^(8*width-1)
+    width = min((w for w in _CASTS if w >= width), default=width)
     weight = {j: 1 << (8 * width * k) for k, j in enumerate(live)}
     for c, (w0, row) in q.items():
         weight[c] = -w0 * sum(v * weight[j] for j, v in row.items())
     packed = dict.fromkeys(abs(sum(v * weight[j] for j, v in r.items()))
                            for r in rows)
     packed.pop(0, None)
-    # (x + top) ^ top turns each signed slot into its two's complement;
-    # one-byte slots then read back as signed chars
+    # (x + top) ^ top turns each signed slot into its two's complement; the
+    # bytes are in native order, which a cast reads, so on a big-endian
+    # host the slots come last column first
     top = int.from_bytes((bytes(width - 1) + b"\x80") * len(live), "little")
     size = width * len(live)
+    fmt = _CASTS.get(width)
+    cols = live if sys.byteorder == "little" else live[::-1]
     out = []
     for x in packed:
-        b = ((x + top) ^ top).to_bytes(size, "little")
-        slots = (memoryview(b).cast("b") if width == 1 else
-                 (int.from_bytes(b[k:k + width], "little", signed=True)
+        b = ((x + top) ^ top).to_bytes(size, sys.byteorder)
+        slots = (memoryview(b).cast(fmt) if fmt else
+                 (int.from_bytes(b[k:k + width], sys.byteorder, signed=True)
                   for k in range(0, size, width)))
-        out.append({j: v for j, v in zip(live, slots) if v})
+        out.append({j: v for j, v in zip(cols, slots) if v})
     return out
 
 

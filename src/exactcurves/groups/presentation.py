@@ -20,18 +20,13 @@ class Presentation:
         self.generators = tuple(generators)
         if len(set(self.generators)) != len(self.generators):
             raise PresentationError("duplicate generator names")
-        rels = []
+        rels = [word(r) if isinstance(r, str) else r for r in relators]
         gset = set(self.generators)
-        for r in relators:
-            if isinstance(r, str):
-                r = word(r)
-            bad = r.generators() - gset
-            if bad:
-                raise PresentationError(
-                    f"relator {r.to_text()} uses unknown generators {bad}")
-            if not r.is_identity():
-                rels.append(r)
-        self.relators = tuple(rels)
+        if not {n for r in rels for n, _e in r.letters} <= gset:
+            r = next(r for r in rels if not r.generators() <= gset)
+            raise PresentationError(f"relator {r.to_text()} uses unknown "
+                                    f"generators {r.generators() - gset}")
+        self.relators = tuple(r for r in rels if not r.is_identity())
         self.notes = notes
 
     def __repr__(self):

@@ -279,6 +279,15 @@ class TestCli:
             out = capsys.readouterr()
             assert out.err.startswith("error: "), argv
             assert "Traceback" not in out.err
+        # a file that cannot be read or written is named in the message
+        missing = str(tmp_path / "missing.json")
+        unwritable = str(tmp_path / "missing" / "r.json")
+        for path, argv in ((missing, ["solve", "run", missing]),
+                           (unwritable, ["group", "abelianization", "g2",
+                                         "--report", unwritable])):
+            assert main(argv) == 2, argv
+            out = capsys.readouterr()
+            assert out.err.startswith("error: ") and path in out.err, argv
 
     def test_report_flag_writes_json(self, tmp_path, capsys):
         report = tmp_path / "r.json"

@@ -56,6 +56,21 @@ def test_deltoid_symmetric_certifies():
     assert rep["points_distinct"]
 
 
+def test_concurrency_certificate_follows_the_declaration():
+    # the declared flag, not the curve's name, asks for the certificate
+    rec = corpus_get("deltoid_symmetric")
+    for flag in (True, False):
+        renamed = CurveRecord("deltoid_renamed", rec.poly, rec.field,
+                              rec.singular_points, [],
+                              cusp_tangents_concurrent=flag)
+        rep = certify_curve_spec(renamed)
+        assert rep["ok"]
+        if flag:
+            assert rep["cusp_tangents_concurrent"] is True
+        else:
+            assert "cusp_tangents_concurrent" not in rep
+
+
 def test_repeated_projective_point_is_not_distinct():
     # one cusp declared twice, the second time with its coordinates scaled
     # by 2: the same projective point, so the declarations are refused
@@ -332,6 +347,15 @@ def test_c82_genus_arithmetic():
 def test_appendix_b_mappings_listed():
     labels = [m["label"] for m in appendix_b_mappings()]
     assert labels == ["s23-to-r32", "s40-to-r32"]
+
+
+def test_appendix_b_mappings_build_no_field(monkeypatch):
+    # the list is read from the document alone: no tower field is built
+    def refuse(doc):
+        raise AssertionError("field built")
+    monkeypatch.setattr(curves, "field_from_doc", refuse)
+    assert [m["label"] for m in appendix_b_mappings()] == \
+        ["s23-to-r32", "s40-to-r32"]
 
 
 @pytest.mark.parametrize("label", ["s23-to-r32", "s40-to-r32"])

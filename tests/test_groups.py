@@ -263,6 +263,15 @@ class TestPresentation:
         with pytest.raises(PresentationError):
             Presentation(["a"], ["a*b"])
 
+    def test_unknown_generator_names_the_first_offending_relator(self):
+        # the second relator is the first to use c, also before text
+        for rels, first in ((["a^2", word("a*c"), "b*c^2"], "a*c"),
+                            ([word("a^2"), "c*b", word("c")], "c*b")):
+            with pytest.raises(PresentationError) as exc:
+                Presentation(["a", "b"], rels)
+            assert str(exc.value) == \
+                f"relator {first} uses unknown generators {{'c'}}"
+
     def test_identity_relators_dropped(self):
         p = Presentation(["a"], ["a*a^-1"])
         assert p.relators == ()
@@ -688,11 +697,12 @@ def _planted_sum_rows(t):
 
 
 @pytest.mark.parametrize("t", [2**7 - 1, 2**7, 2**15 - 1, 2**15,
-                               2**63 - 1, 2**63])
+                               2**31 - 1, 2**31, 2**63 - 1, 2**63])
 def test_packed_pass_reads_back_entries_at_the_slot_bound(t):
     # 2^(W-1) - 1 is the largest entry a slot of W bits holds, and 2^(W-1)
-    # needs the next width.  Rows come back once up to sign, signed so that
-    # their last nonzero entry is positive.
+    # needs the next width: slots of 1, 2, 4 and 8 bytes read back in one
+    # cast, and 2^63 takes the per-slot read of wider ones.  Rows come back
+    # once up to sign, signed so that their last nonzero entry is positive.
     row = dict(enumerate(_planted_sum_rows(t)[3][:3]))
     negated = {j: -v for j, v in row.items()}
     for q in (-1, 1):
@@ -704,6 +714,25 @@ def test_packed_pass_reads_back_entries_at_the_slot_bound(t):
     got = abelian._invariants_sparse(
         [{j: v for j, v in enumerate(r) if v} for r in rows], 4)
     assert _invariants_checked(rows, got) == AbelianInvariants(0, [t])
+
+
+@pytest.mark.parametrize("M, calls", [
+    # no unit entry: no elimination pass, the HNF and Smith form only
+    ([[2, 4], [6, 8]], 0),
+    # a unit entry in the long half only: one pass over all the rows
+    ([[2, 0, 0], [0, 3, 0], [1, 1, 2]], 1)])
+def test_elimination_runs_only_where_it_can_pivot(M, calls, monkeypatch):
+    made = []
+    wrapped = abelian._unit_eliminate
+
+    def unit_eliminate(rows):
+        made.append(len(rows))
+        return wrapped(rows)
+    monkeypatch.setattr(abelian, "_unit_eliminate", unit_eliminate)
+    got = abelian._invariants_sparse(
+        [{j: v for j, v in enumerate(r) if v} for r in M], len(M[0]))
+    assert made == [len(M)] * calls
+    _invariants_checked(M, got)
 
 
 def test_rows_reducing_to_negatives_are_kept_once():
