@@ -215,10 +215,11 @@ def _cmd_solve(args):
         else None
     rep = solve_system(root, order=order, filters=filters,
                        budgets=budgets or None)
+    leaves = {st: sum(n.status == st for n in rep["leaves"]) for st in
+              ("solved", "contradictory", "unresolved", "closed")}
     print(f"status: {rep['status']}; nodes expanded: "
-          f"{rep['nodes_expanded']}; leaves: {len(rep['leaves'])} "
-          f"({len(rep['solved'])} solved, {len(rep['contradictory'])} "
-          f"contradictory, {len(rep['unresolved'])} unresolved)")
+          f"{rep['nodes_expanded']}; leaves: {len(rep['leaves'])} ("
+          + ", ".join(f"{n} {st}" for st, n in leaves.items()) + ")")
     for s in rep["solutions"]:
         ext = "; ".join(f"{n}: {t}" for n, t in s["extensions"]) or "Q"
         assign = ", ".join(f"{v}={x}" for v, x in
@@ -228,6 +229,8 @@ def _cmd_solve(args):
         print(f"unresolved branch: {u['reason']}")
     doc_out = {
         "status": rep["status"],
+        "nodes_expanded": rep["nodes_expanded"],
+        "leaves": leaves,
         "solutions": [
             {"assignment": {v: str(x)
                             for v, x in s["assignment"].items()},

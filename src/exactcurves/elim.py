@@ -1,13 +1,14 @@
 """Resultant-based elimination-tree solver.
 
 A polynomial system over Q (or a bounded tower extension) is solved by
-repeatedly eliminating one variable: a pivot generator is chosen, resultants
-against the remaining generators are computed, factored, and optionally
-pruned by declared degeneracy filters; every surviving factor combination
-becomes a child node unless a sibling has the same generators up to
-scalars.  Univariate leaves are classified and solved values
-are pushed back up the tree through roots that `fields.adjoin_root`
-adjoins, each emitted solution verified against the original generators.
+repeatedly eliminating one variable: the resultants of a pivot generator
+against the others are computed; those univariate in one variable give
+their gcd, the rest stay whole; each is factored and optionally pruned by
+declared degeneracy filters, and every choice of one factor per gcd or
+resultant becomes a child unless a sibling has the same generators up to
+scalars.  Univariate leaves are classified and solved values are pushed
+back up the tree through roots that `fields.adjoin_root` adjoins, each
+emitted solution verified against the original generators.
 
 The solver does not claim completeness: a wrong filter can discard genuine
 solutions, and a root the extension policy refuses is reported unresolved
@@ -138,32 +139,40 @@ def make_root(varnames: Sequence[str], gens: Sequence[MultiPoly],
 def eliminate_step(node: EliminationNode, pivot: MultiPoly, var: str):
     """Resultants of the pivot against every other generator involving `var`.
 
-    Returns a list of dicts, one per paired generator:
-      {"generator": g, "resultant": r, "zero": bool, "constant": bool,
+    Returns a list of dicts, one per choice a child makes:
+      {"generators": [g...], "resultant": r, "zero": bool, "constant": bool,
        "factors": [MultiPoly...], "unresolved": [MultiPoly...]}
-    Factors are in canonical form and are those of `_factor_poly`:
-    irreducible, except the whole multivariate rest of a resultant.
+    Nonzero resultants univariate in one variable share one entry whose r
+    is their gcd: their common zeros are its zeros.  Factors are canonical,
+    those of `_factor_poly`, and none is taken if an entry is zero or
+    constant, for then the node closes.
     """
     if pivot.degree_in(var) <= 0:
         raise ElimError(f"pivot has no positive degree in {var}")
     if not any(g is not pivot and g.degree_in(var) > 0 for g in node.gens):
         raise ElimError(f"no second generator involves {var}")
-    results = []
-    for g in node.gens:
+    groups = {}
+    for i, g in enumerate(node.gens):
         if g is pivot or g.degree_in(var) <= 0:
             continue
         r = resultant(pivot, g, var)
-        entry = {"generator": g, "resultant": r, "zero": r.is_zero(),
-                 "constant": False, "factors": [], "unresolved": []}
-        if r.is_zero():
-            results.append(entry)
-            continue
-        if not any(any(e) for e in r.terms):
-            entry["constant"] = True
-            results.append(entry)
-            continue
-        entry["factors"], entry["unresolved"] = _factor_poly(r)
-        results.append(entry)
+        live = [v for v in r.vars if r.degree_in(v) > 0]
+        groups.setdefault(live[0] if len(live) == 1 else i, []).append((g, r))
+    results = []
+    for key, pairs in groups.items():
+        r = pairs[0][1]
+        if len(pairs) > 1:
+            r = MultiPoly.from_univariate(
+                poly_gcd([q.univariate_coeffs(key) for _g, q in pairs],
+                         r.field), r.vars, key, r.field)
+        results.append({"generators": [g for g, _r in pairs], "resultant": r,
+                        "zero": r.is_zero(), "constant": not r.is_zero()
+                        and not any(any(e) for e in r.terms),
+                        "factors": [], "unresolved": []})
+    if not any(e["zero"] or e["constant"] for e in results):
+        for entry in results:
+            entry["factors"], entry["unresolved"] = _factor_poly(
+                entry["resultant"])
     return results
 
 
@@ -203,19 +212,18 @@ def _factor_poly(r: MultiPoly):
 # ---------------------------------------------------------------------------
 
 def expand_children(node: EliminationNode, pivot: MultiPoly, var: str,
-                    step_results, filters: Sequence[FactorFilter] = (),
-                    audit: Optional[list] = None):
+                    step_results, filters: Sequence[FactorFilter],
+                    audit: list):
     """Build the child nodes for one elimination step.
 
-    One child per cartesian selection of surviving factors (one factor per
-    resultant); generators independent of `var` are carried through.  A
-    child's generators are distinct up to scalars, and no two children
-    have the same set of canonical generators.  Filtered factors are
-    logged with the filter name.  A zero resultant closes the node
-    unresolved, since its zero set may then hold a whole component.
+    One child per cartesian selection of surviving factors, one per entry
+    of `eliminate_step` (a gcd gives one child per factor); generators
+    independent of `var` are carried through.  A child's generators are
+    distinct up to scalars, and no two children have the same set of
+    canonical generators.  Filtered factors are logged with the filter
+    name.  A constant entry closes the node contradictory; a zero one
+    closes it unresolved, since its zero set may hold a whole component.
     """
-    if audit is None:
-        audit = []
     if any(entry["constant"] for entry in step_results):
         node.close("contradictory", "nonzero constant resultant")
         audit.append({"node": node.path, "event": "contradiction",
@@ -225,7 +233,8 @@ def expand_children(node: EliminationNode, pivot: MultiPoly, var: str,
     if zero is not None:
         # the pivot shares a factor with a generator: the node's zero set
         # may hold a whole component that no resultant sees
-        detail = "pivot shares a factor with " + zero["generator"].to_text()
+        detail = ("pivot shares a factor with "
+                  + zero["generators"][0].to_text())
         node.close("unresolved", "zero resultant: " + detail)
         audit.append({"node": node.path, "event": "zero_resultant",
                       "detail": detail})
@@ -290,8 +299,10 @@ def _choose_pivot(node: EliminationNode, var: str):
 
 def search(root: EliminationNode, order: Optional[Sequence[str]] = None,
            filters: Sequence[FactorFilter] = (),
-           budgets: Optional[Mapping] = None):
-    """Depth-first elimination down to univariate leaves.
+           budgets: Optional[Mapping] = None,
+           root_pivot: Optional[MultiPoly] = None):
+    """Depth-first elimination down to univariate leaves; `root_pivot`, a
+    root generator, replaces `_choose_pivot`'s pivot at the root.
 
     Returns a report dict: status, node/leaf lists by classification, and
     the full audit log.  Identical inputs produce identical trees.
@@ -334,7 +345,7 @@ def search(root: EliminationNode, order: Optional[Sequence[str]] = None,
                           "detail": "variable order exhausted"})
             leaves.append(node)
             continue
-        pivot = _choose_pivot(node, var)
+        pivot = (node is root and root_pivot) or _choose_pivot(node, var)
         others = [g for g in node.gens
                   if g is not pivot and g.degree_in(var) > 0]
         if pivot is None or not others:
@@ -365,7 +376,7 @@ def search(root: EliminationNode, order: Optional[Sequence[str]] = None,
             leaves.append(node)
         # push in reverse so child .0 is explored first (deterministic DFS)
         stack.extend(reversed(children))
-    report = {
+    return {
         "status": status,
         "nodes_expanded": expanded,
         "leaves": leaves,
@@ -376,7 +387,6 @@ def search(root: EliminationNode, order: Optional[Sequence[str]] = None,
         "budgets": budgets,
         "root": root,
     }
-    return report
 
 
 def _univariate_step(gens, var: str, field, assign: Mapping):
@@ -541,32 +551,24 @@ def system_from_doc(doc):
 def solve_system(root: EliminationNode,
                  order: Optional[Sequence[str]] = None,
                  filters: Sequence[FactorFilter] = (),
-                 budgets: Optional[Mapping] = None):
+                 budgets: Optional[Mapping] = None,
+                 root_pivot: Optional[MultiPoly] = None):
     """search + back_substitute over all solved leaves; combined report."""
-    report = search(root, order, filters, budgets)
-    solutions = []
-    unresolved = []
-    for leaf in report["solved"]:
-        for rec in back_substitute(leaf):
-            if rec["status"] == "solved":
-                solutions.append(rec)
-            else:
-                unresolved.append(rec)
-    report["solutions"] = _dedup_solutions(solutions)
-    report["unresolved_branches"] = unresolved
+    report = search(root, order, filters, budgets, root_pivot)
+    recs = [rec for leaf in report["solved"] for rec in back_substitute(leaf)]
+    report["solutions"] = _dedup_solutions(
+        [rec for rec in recs if rec["status"] == "solved"])
+    report["unresolved_branches"] = [rec for rec in recs
+                                     if rec["status"] != "solved"]
     return report
 
 
 def _dedup_solutions(solutions):
     # distinct leaves may share solutions: a coordinate factor and the
     # multivariate rest of one resultant can vanish at one point
-    seen = set()
-    out = []
+    out = {}
     for rec in solutions:
-        key = (tuple(sorted((v, str(x))
-                            for v, x in rec["assignment"].items())),
-               tuple(t for _n, t in rec["extensions"]))
-        if key not in seen:
-            seen.add(key)
-            out.append(rec)
-    return out
+        out.setdefault((tuple(sorted((v, str(x))
+                                     for v, x in rec["assignment"].items())),
+                        tuple(t for _n, t in rec["extensions"])), rec)
+    return list(out.values())

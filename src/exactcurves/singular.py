@@ -477,10 +477,10 @@ def certify_smooth_projective(f: MultiPoly):
     The singular points are the common zeros of F_x, F_y, F_z, which lie
     on the curve by the Euler relation.  One pass over the disjoint cover
     of the plane by the point (1:0:0), the line z = 0 less that point and
-    the chart z = 1 decides them exactly (README, "Smoothness").  The
-    verdict is True, False, or None when a candidate y-coordinate has a
-    factor left unresolved or one whose root the extension policy
-    (`fields.adjoin_root`) refuses.
+    the chart z = 1 decides them exactly (README, "Smoothness"); the chart
+    is one `elim.solve_system` call.  The verdict is True, False, or None
+    when a candidate y-coordinate has a factor left unresolved or one
+    whose root the extension policy (`fields.adjoin_root`) refuses.
     """
     if len(f.vars) != 3:
         raise GermError("expected a polynomial in 3 variables")
@@ -506,36 +506,31 @@ def certify_smooth_projective(f: MultiPoly):
     if fl.up_deg(g) != 0:
         return verdict(False, "the partials share a zero on the line z = 0")
     witness["steps"].append("no common zero of the partials on z = 0")
-    # chart z = 1.  h has positive degree in x and h_y is nonzero: else F
-    # lies in K[y, z] or K[x, z], and (1:0:0) or (0:1:0) was found singular
+    # chart z = 1: eliminate x from (h, h_x, h_y), pivot h.  deg_x h > 0 and
+    # h_y != 0, else F is in K[y, z] or K[x, z]: (1:0:0) or (0:1:0) failed
+    from .elim import make_root, solve_system  # germs do not load the solver
     h = dehomogenize(f, 2)
     x, y = h.vars
-    chart = [h, h.derivative(x), h.derivative(y)]
-    res = [resultant(h, p, x) if p.degree_in(x) > 0 else p
-           for p in chart[1:]]
-    if any(r.is_zero() for r in res):
-        # h shares a factor of positive x-degree with a nonzero partial of
-        # lower degree: h, hence F, is reducible
-        return verdict(False, "zero resultant in x: F is reducible, hence "
-                       "singular where its components meet")
-    g = poly_gcd([r.univariate_coeffs(y) for r in res], field)
-    if fl.up_deg(g) == 0:
-        return verdict(True, "chart z = 1: the resultants in x have a "
-                       "constant gcd in y; no common zero")
-    parts, unresolved = irreducible_factors(g, field)
-    decided = not unresolved
-    for part, _mult in parts:
-        try:
-            r, _ext = fl.adjoin_root(part, field, _EXT_COUNTER)
-        except FieldError:
-            decided = False
-            continue
-        at_r = [p.substitute({y: r}) for p in chart]
-        if fl.up_deg(poly_gcd([p.univariate_coeffs(x) for p in at_r],
-                              at_r[0].field)) != 0:
-            return verdict(False, f"chart z = 1: common zero of the "
-                           f"partials at {y} = {r}")
-    if not decided:
+    root = make_root(h.vars, [h, h.derivative(x), h.derivative(y)], field)
+    rep = solve_system(root, order=[x], root_pivot=root.gens[0],
+                       budgets={"time_cap_s": float("inf")})
+    if root.status == "unresolved":
+        # the root closes unresolved only on a zero resultant against h: h
+        # shares a factor of positive x-degree with a nonzero partial of
+        # lower degree, so h, hence F, is reducible
+        g = next(p for p in root.gens[1:]
+                 if p.degree_in(x) > 0 and resultant(h, p, x).is_zero())
+        return verdict(False, f"Res_{x}(h, {g.to_text()}) = 0: F is "
+                       "reducible, hence singular where its components meet")
+    # a record holding a y-value had the partials' gcd in x nonconstant
+    # there; only that gcd's root was left unsplit or refused
+    found = [sol["assignment"] for sol in rep["solutions"]] + [
+        u["partial"] for u in rep["unresolved_branches"] if y in u["partial"]]
+    if found:
+        return verdict(False, f"chart z = 1: common zero of the partials "
+                       f"at {y} = {found[0][y]}")
+    if rep["status"] != "complete" or rep["unresolved"] \
+            or rep["unresolved_branches"]:
         return verdict(None, "chart z = 1: a candidate factor is unresolved "
                        "or beyond supported extensions; inconclusive")
-    return verdict(True, "chart z = 1: no candidate y-value is a common zero")
+    return verdict(True, "chart z = 1: the partials have no common zero")

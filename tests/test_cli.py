@@ -238,14 +238,26 @@ class TestCli:
         assert len(saved["solutions"]) == 2
 
     def test_solve_run_with_filter(self, tmp_path, capsys):
-        # x*y = 0, x - y = 0: filtering the x factor removes the origin
+        # x*y = 0, x - y = 0: Res_x = -y^2, and filtering its one factor y
+        # removes the origin, closing the root
         doc = {"vars": ["x", "y"],
                "polys": ["x*y", "x-y"],
                "filters": [{"type": "variable_vanishing", "var": "y"}]}
         path = tmp_path / "system.json"
         path.write_text(json.dumps(doc))
-        main(["solve", "run", str(path), "--order", "x"])
-        capsys.readouterr()
+        report = tmp_path / "out.json"
+        assert main(["solve", "run", str(path), "--order", "x",
+                     "--report", str(report)]) == 0
+        assert "leaves: 1 (0 solved, 0 contradictory, 0 unresolved, " \
+            "1 closed)" in capsys.readouterr().out
+        saved = json.loads(report.read_text())
+        assert saved["status"] == "complete"
+        assert saved["solutions"] == []
+        assert saved["nodes_expanded"] == 1
+        assert saved["leaves"] == {"solved": 0, "contradictory": 0,
+                                   "unresolved": 0, "closed": 1}
+        assert [(a["filter"], a["factor"]) for a in saved["audit"]
+                if a["event"] == "filtered"] == [("vanishing(y)", "y")]
 
     def test_check_command(self, capsys, tmp_path):
         report = tmp_path / "check.json"

@@ -116,19 +116,52 @@ def test_expand_children_all_filtered_closes_node():
 
 
 def test_no_two_children_share_a_generator_set():
-    # both resultants split into y - 1 and y - 3 (and y - 5); the choices
-    # (y-1, y-3) and (y-3, y-1) and the choices that repeat a carried
-    # generator up to a scalar give one child each
+    # Res_z = x*R and x*y*R, R = x + y + 1, are multivariate: one of their
+    # factors {x, R} and {x, y, R} is chosen from each.  The choices (x, R)
+    # and (R, x), and those that repeat the carried 2*x up to a scalar,
+    # give one child each: 4 children of 6 choices
+    V3 = ("x", "y", "z")
+    gens = [P("z - 1", V3), P("z*x*(x + y + 1)", V3),
+            P("x*y*(x + y + z)", V3), P("2*x", V3), P("y - 2", V3)]
+    root = make_root(V3, gens)
+    steps = eliminate_step(root, root.gens[0], "z")
+    assert [len(e["factors"]) for e in steps] == [2, 3]
+    kids = expand_children(root, root.gens[0], "z", steps, (), [])
+    keys = [frozenset(g * (1 / leading_term(g)[1]) for g in k.gens)
+            for k in kids]
+    assert len(keys) == len(set(keys)) == 4
+    rep = solve_system(make_root(V3, gens), order=["z", "y"])
+    assert assignments(rep) == [
+        {"x": Fraction(0), "y": Fraction(2), "z": Fraction(1)}]
+
+
+def test_univariate_resultants_meet_in_one_gcd():
+    # Res_x = (y-1)(y-3) and (y-1)(y-3)(y-5): only their gcd is factored,
+    # one child per factor, and the carried 2*y - 2 rules out y = 3
     gens = [P("x - y"), P("(x-1)*(x-3)"), P("(x-1)*(x-3)*(x-5)"),
             P("2*y - 2")]
+    root = make_root(V2, gens)
+    (step,) = eliminate_step(root, root.gens[0], "x")
+    assert step["generators"] == list(root.gens[1:3])
+    assert step["resultant"] == P("(y-1)*(y-3)")
+    assert sorted(f.to_text() for f in step["factors"]) == ["y + -1",
+                                                            "y + -3"]
     rep = solve_system(make_root(V2, gens), order=["x"])
-    assert rep["audit"][0]["event"] == "expanded"
-    assert rep["audit"][0]["children"] == 4
-    assert rep["nodes_expanded"] == 5
-    keys = [frozenset(g * (1 / leading_term(g)[1]) for g in n.gens)
-            for n in rep["leaves"]]
-    assert len(keys) == len(set(keys)) == 4
+    assert rep["audit"][0]["children"] == 2
+    assert rep["nodes_expanded"] == 3
+    assert sorted(n.status for n in rep["leaves"]) == ["contradictory",
+                                                       "solved"]
     assert assignments(rep) == [{"x": Fraction(1), "y": Fraction(1)}]
+
+
+def test_constant_gcd_closes_the_node_contradictory():
+    # Res_x = y^2 - 1 and y^2 - 4 have no common zero
+    rep = solve_system(make_root(V2, [P("x - y"), P("x^2 - 1"),
+                                      P("x^2 - 4")]), order=["x"])
+    assert rep["nodes_expanded"] == 1
+    assert [n.path for n in rep["contradictory"]] == ["0"]
+    assert rep["audit"] == [{"node": "0", "event": "contradiction",
+                             "detail": "nonzero constant resultant"}]
 
 
 def test_overlapping_leaves_report_one_solution():
@@ -326,6 +359,9 @@ def test_c82_offaxis_points_rederived():
     names, polys = c82_singular_system()
     rep = solve_system(make_root(names, polys), order=["x"])
     assert rep["status"] == "complete"
+    # the two resultants meet in one gcd, irreducible over Q: one leaf
+    assert rep["nodes_expanded"] == 2
+    assert [n.status for n in rep["leaves"]] == ["solved"]
     assert len(rep["solutions"]) == 1
     s = rep["solutions"][0]
     # the root field of the stored point data, re-found from scratch

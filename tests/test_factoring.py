@@ -72,6 +72,19 @@ def test_recombination_budget_leaves_input_unresolved(monkeypatch):
     assert factor_bounded(g, "t")[1:] == ([], [(g, 1)])
 
 
+def test_recombination_budget_over_a_tower_keeps_the_norm_part_unresolved(
+        monkeypatch):
+    # over Q(i) the shifted norm of (t - 1)(t^4 - 10t^2 + 1) splits over Q
+    # into the norm of t - 1 and a part left unsplit at the budget: the
+    # quartic it gives stays unresolved, never reported irreducible
+    import exactcurves.factoring as factoring
+    monkeypatch.setattr(factoring, "RECOMBINATION_BUDGET", 1)
+    K = NumberField("i", [Fraction(1), Fraction(0), Fraction(1)])
+    quartic = [K.coerce(c) for c in (1, 0, -10, 0, 1)]
+    f = product([[-1, 1], quartic], K)
+    assert irreducible_factors(f, K) == ([([-1, 1], 1)], [(quartic, 1)])
+
+
 # -- differential suite against sympy factor_list ---------------------------
 
 @functools.lru_cache(maxsize=None)

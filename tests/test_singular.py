@@ -194,6 +194,13 @@ def test_unresolved_edge_factorization_is_germ_error(monkeypatch):
         puiseux_branches(germ)
 
 
+def test_edge_with_a_non_normal_root_field_is_unresolved():
+    # the tangent edge u^3 - 2v^3 has one root in Q(2^(1/3)); its two
+    # conjugates lie outside that field, so the germ is not expanded
+    with pytest.raises(UnresolvedGerm):
+        puiseux_branches(CurveGerm(parse_poly("u^3 - 2*v^3 + u^4", UV)))
+
+
 # every germ this module expands, with the truncation it is expanded to
 EXPANDED = [
     ("(u-v^2)*(u-v^3)*(u+v^3)", 8),
