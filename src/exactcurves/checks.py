@@ -1,9 +1,12 @@
 """Named verification checks and the manifest that aggregates them.
 
 Each check re-runs one of the toolkit's reproduction targets and compares
-the outcome against the published value.  Statuses are "pass", "fail",
-"unresolved" (computation finished but could not decide the strongest
-claim — never silently promoted to pass).
+the outcome against the published value; it returns only its details,
+each with an "ok" verdict of True, False or None (undecided).
+`run_check` alone turns them into a status: "pass" when every detail
+holds, "fail" when one is refuted, and otherwise "unresolved" (the
+computation finished but could not decide the strongest claim), which is
+never silently promoted to pass.
 """
 
 from __future__ import annotations
@@ -31,21 +34,18 @@ class CheckError(ValueError):
 
 
 def _expect(details, label, got, expected):
-    ok = (got == expected)
     details[label] = {"got": _plain(got), "expected": _plain(expected),
-                      "ok": ok}
-    return ok
+                      "ok": got == expected}
 
 
 def _expect_report(details, label, rep, key="ok"):
-    """Record whether a certification report holds; returns its verdict
-    `rep[key]`: True, False, or None when it left something undecided."""
+    """Record whether a certification report holds: its verdict `rep[key]`
+    is True, False, or None when it left something undecided."""
     details[label] = {"got": rep[key], "expected": True, "ok": rep[key]}
-    return rep[key]
 
 
-# status of a check from the three-valued `conjoin` of its results: an
-# undecided report is never promoted to pass
+# status of a check from the three-valued `conjoin` of its details' "ok":
+# an undecided detail is never promoted to pass
 _STATUS = {True: "pass", None: "unresolved", False: "fail"}
 
 
@@ -77,43 +77,40 @@ def _check_monodromy_presentation():
         "l2^-1*c4*l2*c2^-1",
         "c1*c2*c3*c4*l1*l2*linf",
     ]
-    ok = _expect(details, "relators",
-                 [r.to_text() for r in p.relators], expected)
-    return ("pass" if ok else "fail"), details
+    _expect(details, "relators", [r.to_text() for r in p.relators], expected)
+    return details
 
 
 def _check_monodromy_commutation():
     details = {}
-    ok = _expect(details, "all_four_meridians", verify_g0_relations(), True)
-    ok &= _expect(details, "planted_failure_control",
-                  verify_g0_relations(tau2=BraidWord(4, (2, 2))), False)
-    return ("pass" if ok else "fail"), details
+    _expect(details, "all_four_meridians", verify_g0_relations(), True)
+    _expect(details, "planted_failure_control",
+            verify_g0_relations(tau2=BraidWord(4, (2, 2))), False)
+    return details
 
 
 def _check_order24_group():
     details = {}
     p = CORPUS["cremona24"]
     ct = todd_coxeter(p)
-    ok = _expect(details, "order", ct.n_cosets, 24)
+    _expect(details, "order", ct.n_cosets, 24)
     res = derived_series_quotients(p, 2)
-    ok &= _expect(details, "abelianization",
-                  res["quotients"][0].describe(), "Z/8")
-    ok &= _expect(details, "derived_quotient",
-                  res["quotients"][1].describe(), "Z/3")
-    ok &= _expect(details, "c2_order", ct.element_order("c2"), 8)
-    ok &= _expect(details, "c2_c3_identity",
-                  ct.elements_equal("c2*c3^-1", (word("c2*c3") ** 4)), True)
-    return ("pass" if ok else "fail"), details
+    _expect(details, "abelianization", res["quotients"][0].describe(), "Z/8")
+    _expect(details, "derived_quotient", res["quotients"][1].describe(), "Z/3")
+    _expect(details, "c2_order", ct.element_order("c2"), 8)
+    _expect(details, "c2_c3_identity",
+            ct.elements_equal("c2*c3^-1", (word("c2*c3") ** 4)), True)
+    return details
 
 
 def _check_derived_series_main(depth=3):
     details = {}
     res = derived_series_quotients(CORPUS["g_symp"], depth)
     expected = ["Z/8", "Z/3", "(Z/2)^6", "Z^9 + (Z/2)^5 + Z/4"][:depth]
-    ok = _expect(details, "quotients",
-                 [q.describe() for q in res["quotients"]], expected)
-    ok &= _expect(details, "status", res["status"], "complete")
-    return ("pass" if ok else "fail"), details
+    _expect(details, "quotients",
+            [q.describe() for q in res["quotients"]], expected)
+    _expect(details, "status", res["status"], "complete")
+    return details
 
 
 def _check_derived_series_main_full():
@@ -123,11 +120,11 @@ def _check_derived_series_main_full():
 def _check_derived_series_companion():
     details = {}
     res = derived_series_quotients(CORPUS["g2"], 4)
-    ok = _expect(details, "quotients",
-                 [q.describe() for q in res["quotients"]],
-                 ["Z/8", "Z/3", "(Z/2)^4", "Z^3 + Z/2"])
-    ok &= _expect(details, "status", res["status"], "complete")
-    return ("pass" if ok else "fail"), details
+    _expect(details, "quotients",
+            [q.describe() for q in res["quotients"]],
+            ["Z/8", "Z/3", "(Z/2)^4", "Z^3 + Z/2"])
+    _expect(details, "status", res["status"], "complete")
+    return details
 
 
 def _check_kernel_consistency():
@@ -136,30 +133,30 @@ def _check_kernel_consistency():
     stated = CORPUS["g_symp"]
     rk = derived_series_quotients(ker, 3)
     rs = derived_series_quotients(stated, 3)
-    ok = _expect(details, "abelianization",
-                 rk["quotients"][0].describe(),
-                 rs["quotients"][0].describe())
-    ok &= _expect(details, "derived_quotients_depth3",
-                  [q.describe() for q in rk["quotients"]],
-                  [q.describe() for q in rs["quotients"]])
+    _expect(details, "abelianization",
+            rk["quotients"][0].describe(),
+            rs["quotients"][0].describe())
+    _expect(details, "derived_quotients_depth3",
+            [q.describe() for q in rk["quotients"]],
+            [q.describe() for q in rs["quotients"]])
     for target in ("S3", "S4", "D4", "Q8"):
-        ok &= _expect(details, f"homs_to_{target}",
-                      count_homs(ker, target), count_homs(stated, target))
-    return ("pass" if ok else "fail"), details
+        _expect(details, f"homs_to_{target}",
+                count_homs(ker, target), count_homs(stated, target))
+    return details
 
 
 def _check_octic_certification():
     details = {}
     rec = corpus_get("c82")
     rep = certify_curve_spec(rec)
-    held = _expect_report(details, "all_points_and_automorphisms", rep)
+    _expect_report(details, "all_points_and_automorphisms", rep)
     axis = sorted(tuple(str(c) for c in coords)
                   for coords, _t in rec.singular_points
                   if not coords[2])
-    ok = _expect(details, "axis_points", axis,
-                  sorted([("1", "0", "0"), ("0", "1", "0")]))
-    ok &= _expect(details, "types",
-                  sorted({t for _c, t in rec.singular_points}), ["E6"])
+    _expect(details, "axis_points", axis,
+            sorted([("1", "0", "0"), ("0", "1", "0")]))
+    _expect(details, "types",
+            sorted({t for _c, t in rec.singular_points}), ["E6"])
     # a point over an extension certifies all its conjugates: y = beta
     # generates Q(beta), so the off-axis representative has [Q(beta):Q] of
     # them, and its z-flip partner y = -beta is one, beta's minimal
@@ -167,48 +164,47 @@ def _check_octic_certification():
     fields = [common_field(*coords) for coords, _t in rec.singular_points]
     conjugates = sum(prod(level.degree for level in tower(K))
                      for K in set(fields) - {QQ})
-    ok &= _expect(details, "declared_point_count",
-                  fields.count(QQ) + conjugates, 6)
-    return _STATUS[conjoin(ok, held)], details
+    _expect(details, "declared_point_count", fields.count(QQ) + conjugates, 6)
+    return details
 
 
 def _check_octic_rederivation():
     details = {}
     names, polys = c82_singular_system()
     rep = solve_system(make_root(names, polys), order=["x"])
-    ok = _expect(details, "status", rep["status"], "complete")
-    ok &= _expect(details, "solution_count", len(rep["solutions"]), 1)
+    _expect(details, "status", rep["status"], "complete")
+    _expect(details, "solution_count", len(rep["solutions"]), 1)
     if rep["solutions"]:
         s = rep["solutions"][0]
-        ok &= _expect(details, "extension",
-                      s["extensions"], [("w1", "y^4 + 2/9*y^2 + 1/33")])
+        _expect(details, "extension",
+                s["extensions"], [("w1", "y^4 + 2/9*y^2 + 1/33")])
         b = s["field"].gen()
-        ok &= _expect(details, "y_is_root", s["assignment"]["y"] == b, True)
-        ok &= _expect(details, "x_from_y",
-                      s["assignment"]["x"] == (99 * b ** 3 - 5 * b) / 6,
-                      True)
-        ok &= _expect(details, "verified", s["verified"], True)
-    return ("pass" if ok else "fail"), details
+        _expect(details, "y_is_root", s["assignment"]["y"] == b, True)
+        _expect(details, "x_from_y",
+                s["assignment"]["x"] == (99 * b ** 3 - 5 * b) / 6,
+                True)
+        _expect(details, "verified", s["verified"], True)
+    return details
 
 
 def _check_deltoid_suite():
     details = {}
     sym = certify_curve_spec(corpus_get("deltoid_symmetric"))
-    held = [_expect_report(details, "symmetric_ok", sym)]
-    ok = _expect(details, "cusp_count", len(sym["points"]), 3)
-    ok &= _expect(details, "all_cusps",
-                  [p["verdict"] for p in sym["points"]],
-                  ["A2", "A2", "A2"])
-    ok &= _expect(details, "tangents_concurrent",
-                  sym.get("cusp_tangents_concurrent"), True)
+    _expect_report(details, "symmetric_ok", sym)
+    _expect(details, "cusp_count", len(sym["points"]), 3)
+    _expect(details, "all_cusps",
+            [p["verdict"] for p in sym["points"]],
+            ["A2", "A2", "A2"])
+    _expect(details, "tangents_concurrent",
+            sym.get("cusp_tangents_concurrent"), True)
     aff = certify_curve_spec(corpus_get("deltoid_affine"))
-    held.append(_expect_report(details, "affine_ok", aff))
+    _expect_report(details, "affine_ok", aff)
     # the affine model is stored in (v, u) coordinate order, so the cusp
     # at (u, v) = (1, -3) appears as ("-3", "1")
     pts = sorted(tuple(p["coords"]) for p in aff["points"])
-    ok &= _expect(details, "affine_cusp_locations", pts,
-                  sorted([("0", "0"), ("-3", "1")]))
-    return _STATUS[conjoin(ok, *held)], details
+    _expect(details, "affine_cusp_locations", pts,
+            sorted([("0", "0"), ("-3", "1")]))
+    return details
 
 
 def _check_power_map_mechanism():
@@ -216,11 +212,11 @@ def _check_power_map_mechanism():
     f = parse_poly("u^2 - v^3", ("u", "v"))
     g = kummer_pullback(f, 2, names=["u"])
     cert = certify_type(CurveGerm(g, (Fraction(0), Fraction(0))), "E6")
-    ok = _expect(details, "local_model_verdict", cert.verdict, "E6")
+    _expect(details, "local_model_verdict", cert.verdict, "E6")
     quartic = corpus_get("deltoid_symmetric").poly
-    ok &= _expect(details, "pullback_degree",
-                  kummer_pullback(quartic, 2).degree(), 8)
-    return ("pass" if ok else "fail"), details
+    _expect(details, "pullback_degree",
+            kummer_pullback(quartic, 2).degree(), 8)
+    return details
 
 
 def _assembled_octic_family():
@@ -232,39 +228,34 @@ def _assembled_octic_family():
 
 
 def _check_octic_family_assembly():
-    details = {}
-    status = "pass"
-    for label, rep, structural in _assembled_octic_family():
-        if not structural:
-            status = "fail"
-        details[label] = _plain(rep["checks"])
-    return status, details
+    return {label: _plain(dict(rep["checks"], ok=structural))
+            for label, rep, structural in _assembled_octic_family()}
 
 
 def _check_octic_family_singularities():
-    details, held = {}, []
+    details = {}
     for label, rep, structural in _assembled_octic_family():
         spec = certify_curve_spec(rep["record"])
-        held += [structural, spec["ok"]]
-        details[label] = _plain(dict(rep["checks"], singularities=spec))
-    return _STATUS[conjoin(*held)], details
+        details[label] = _plain(dict(rep["checks"], singularities=spec,
+                                     ok=conjoin(structural, spec["ok"])))
+    return details
 
 
 def _check_quartic_smoothness():
-    details, held = {}, []
+    details = {}
     for name in ("c82_quartic", "c83_quartic"):
         rep = certify_curve_spec(corpus_get(name))
-        held += [_expect_report(details, f"{name}_smooth", rep, "smooth"),
-                 _expect_report(details, f"{name}_ok", rep)]
-    return _STATUS[conjoin(*held)], details
+        _expect_report(details, f"{name}_smooth", rep, "smooth")
+        _expect_report(details, f"{name}_ok", rep)
+    return details
 
 
 def _check_real_root_count():
     details = {}
     count = sturm_real_roots([Fraction(-2), Fraction(-2), Fraction(1),
                               Fraction(-2), Fraction(1)])
-    ok = _expect(details, "real_roots_of_defining_quartic", count, 2)
-    return ("pass" if ok else "fail"), details
+    _expect(details, "real_roots_of_defining_quartic", count, 2)
+    return details
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +367,16 @@ def check_ids():
 
 
 def run_check(check_id: str) -> Dict:
-    """Execute one check and return its report entry."""
+    """Execute one check and return its report entry, whose status is the
+    `conjoin` of its details' "ok"; a check that raises, or a detail
+    without "ok", is a fail with the error recorded."""
     for cid, statement, tags, fn in _CHECKS:
         if cid == check_id:
             t0 = time.time()
             try:
-                status, details = fn()
+                details = fn()
+                status = _STATUS[conjoin(*(d["ok"]
+                                           for d in details.values()))]
             except Exception as exc:           # surfaced, not swallowed
                 status = "fail"
                 details = {"error": f"{type(exc).__name__}: {exc}"}

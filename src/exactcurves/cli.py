@@ -20,6 +20,10 @@ def _parse_coeffs(text):
     return [Fraction(t.strip()) for t in text.split(",") if t.strip()]
 
 
+# console word for a three-valued verdict: None is undecided
+_VERDICT = {True: "ok", None: "unresolved", False: "MISMATCH"}
+
+
 def _write_report(args, doc):
     if getattr(args, "report", None):
         with open(args.report, "w") as fh:
@@ -83,29 +87,25 @@ def _cmd_poly(args):
 def _print_curve_report(rep, indent=""):
     """Console lines for a `certify_curve_spec` report."""
     for p in rep["points"]:
-        mark = {True: "ok", None: "unresolved"}.get(p["ok"], "MISMATCH")
         contacts = (f" contacts={tuple(p['contacts'])}"
                     if "contacts" in p else "")
         print(f"{indent}point {p['coords']}: expected {p['expected']}, "
-              f"got {p['verdict']}{contacts}  [{mark}]")
+              f"got {p['verdict']}{contacts}  [{_VERDICT[p['ok']]}]")
     for a in rep["automorphisms"]:
         print(f"{indent}automorphism {a['name']}: "
-              f"invariant={a['invariant']}  "
-              f"[{'ok' if a['ok'] else 'MISMATCH'}]")
+              f"invariant={a['invariant']}  [{_VERDICT[a['ok']]}]")
     if "smooth" in rep:
-        print(f"{indent}smooth:", {None: "unresolved"}.get(rep["smooth"],
-                                                           rep["smooth"]))
+        print(f"{indent}smooth:", _VERDICT[rep["smooth"]])
     if "cusp_tangents_concurrent" in rep:
         print(f"{indent}cusp tangents concurrent:",
-              rep["cusp_tangents_concurrent"])
-    print(f"{indent}overall:",
-          {True: "ok", None: "unresolved"}.get(rep["ok"], "FAILED"))
+              _VERDICT[rep["cusp_tangents_concurrent"]])
+    print(f"{indent}overall:", _VERDICT[rep["ok"]])
 
 
 def _cmd_curve(args):
     from .curves import (appendix_b_mappings, assemble_appendix_b,
-                         certify_curve_spec, corpus_get, corpus_names,
-                         kummer_pullback)
+                         certify_curve_spec, conjoin, corpus_get,
+                         corpus_names, kummer_pullback)
     from .multipoly import parse_poly
     if args.curve_cmd == "list":
         print("\n".join(corpus_names()))
@@ -134,16 +134,12 @@ def _cmd_curve(args):
             print(f"mapping {label}:")
             for k, v in rep["checks"].items():
                 print(f"  {k}: {v}")
-            entry = {k: v for k, v in rep["checks"].items()}
             spec = certify_curve_spec(rep["record"])
             _print_curve_report(spec, indent="  ")
-            entry["singularities"] = spec
-            if spec["ok"] is not True:
+            if conjoin(spec["ok"], *(v for v in rep["checks"].values()
+                                     if isinstance(v, bool))) is False:
                 exit_code = 1
-            if not all(v for k, v in entry.items()
-                       if isinstance(v, bool)):
-                exit_code = 1
-            doc[label] = entry
+            doc[label] = dict(rep["checks"], singularities=spec)
         _write_report(args, doc)
         return exit_code
     return 2
@@ -206,15 +202,10 @@ def _cmd_solve(args):
     with open(args.system) as fh:
         doc = json.load(fh)
     root, filters = system_from_doc(doc)
-    budgets = {}
-    if args.budget_nodes is not None:
-        budgets["node_cap"] = args.budget_nodes
-    if args.budget_time is not None:
-        budgets["time_cap_s"] = args.budget_time
     order = [v.strip() for v in args.order.split(",")] if args.order \
         else None
     rep = solve_system(root, order=order, filters=filters,
-                       budgets=budgets or None)
+                       node_cap=args.budget_nodes)
     leaves = {st: sum(n.status == st for n in rep["leaves"]) for st in
               ("solved", "contradictory", "unresolved", "closed")}
     print(f"status: {rep['status']}; nodes expanded: "
@@ -254,9 +245,8 @@ def _cmd_check(args):
     print(f"{entry['status'].upper()}  {entry['id']}  "
           f"({entry['runtime_s']:.2f}s)")
     for k, v in entry["details"].items():
-        if isinstance(v, dict) and "ok" in v:
-            print(f"  {k}: {'ok' if v['ok'] else 'MISMATCH'} "
-                  f"(got {v['got']})")
+        if isinstance(v, dict) and "got" in v:
+            print(f"  {k}: {_VERDICT[v['ok']]} (got {v['got']})")
         else:
             print(f"  {k}: {v}")
     _write_report(args, entry)
@@ -276,6 +266,7 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
+    from . import elim
     from .groups import coset
     ap = argparse.ArgumentParser(
         prog="exactcurves",
@@ -359,8 +350,9 @@ def build_parser():
     q = ss.add_parser("run", help="solve a polynomial system document")
     q.add_argument("system", help="JSON file: vars, field, polys, filters")
     q.add_argument("--order", help="comma-separated elimination order")
-    q.add_argument("--budget-nodes", type=int, default=None)
-    q.add_argument("--budget-time", type=float, default=None)
+    q.add_argument("--budget-nodes", type=int,
+                   default=elim.DEFAULT_NODE_CAP,
+                   help="nodes to expand before stopping unfinished")
     add_report(q)
     p_solve.set_defaults(func=_cmd_solve)
 

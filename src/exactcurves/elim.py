@@ -8,7 +8,8 @@ declared degeneracy filters, and every choice of one factor per gcd or
 resultant becomes a child unless a sibling has the same generators up to
 scalars.  Univariate leaves are classified and solved values are pushed
 back up the tree through roots that `fields.adjoin_root` adjoins, each
-emitted solution verified against the original generators.
+emitted solution verified against the original generators; a part the
+factorizer left unsplit, at a leaf or above, is an unresolved record.
 
 The solver does not claim completeness: a wrong filter can discard genuine
 solutions, and a root the extension policy refuses is reported unresolved
@@ -17,7 +18,6 @@ rather than guessed.  Everything removed or left open is in the audit log.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import fields as fl
@@ -31,7 +31,8 @@ class ElimError(ValueError):
     pass
 
 
-DEFAULT_BUDGETS = {"node_cap": 10_000, "time_cap_s": 300.0}
+# nodes a search expands before it stops with "node_budget_exhausted"
+DEFAULT_NODE_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +85,8 @@ class EliminationNode:
 
     def __init__(self, gens: Sequence[MultiPoly], field,
                  remaining_vars: Sequence[str], parent=None,
-                 elim_var: Optional[str] = None, path: str = "0"):
+                 elim_var: Optional[str] = None, path: str = "0",
+                 step_factors=frozenset()):
         gens = tuple(gens)
         if any(g.is_zero() for g in gens):
             raise ElimError("node generators must be nonzero")
@@ -94,6 +96,8 @@ class EliminationNode:
         self.parent = parent
         self.elim_var = elim_var  # variable removed when stepping from parent
         self.path = path
+        # factors of the parent's step: one in a single variable is irreducible
+        self.step_factors = step_factors
         self.status = "open"
         self.status_reason = ""
         # history invariants
@@ -262,6 +266,7 @@ def expand_children(node: EliminationNode, pivot: MultiPoly, var: str,
         if g is not pivot and g.degree_in(var) <= 0:
             carried.setdefault(_canonical(g), g)
     remaining = tuple(v for v in node.remaining_vars if v != var)
+    step_factors = frozenset(p for e in step_results for p in e["factors"])
     combos = [[]]
     for s in choice_sets:
         combos = [c + [p] for c in combos for p in s]
@@ -277,7 +282,7 @@ def expand_children(node: EliminationNode, pivot: MultiPoly, var: str,
         seen.add(key)
         children.append(EliminationNode(
             gens.values(), node.field, remaining, parent=node, elim_var=var,
-            path=f"{node.path}.{len(children)}"))
+            path=f"{node.path}.{len(children)}", step_factors=step_factors))
     audit.append({"node": node.path, "event": "expanded", "pivot":
                   pivot.to_text(), "var": var, "children": len(children)})
     return children
@@ -299,30 +304,26 @@ def _choose_pivot(node: EliminationNode, var: str):
 
 def search(root: EliminationNode, order: Optional[Sequence[str]] = None,
            filters: Sequence[FactorFilter] = (),
-           budgets: Optional[Mapping] = None,
+           node_cap: int = DEFAULT_NODE_CAP,
            root_pivot: Optional[MultiPoly] = None):
     """Depth-first elimination down to univariate leaves; `root_pivot`, a
     root generator, replaces `_choose_pivot`'s pivot at the root.
 
-    Returns a report dict: status, node/leaf lists by classification, and
-    the full audit log.  Identical inputs produce identical trees.
+    Returns a report dict: status ("complete" or "node_budget_exhausted"),
+    node/leaf lists by classification, and the full audit log.  The node
+    cap is the only budget, so identical inputs produce identical trees.
     """
-    budgets = {**DEFAULT_BUDGETS, **(budgets or {})}
     if order is None:
         order = list(reversed(root.remaining_vars))[:-1]
     order = list(order)
     audit = []
-    t0 = time.monotonic()
     status = "complete"
     stack = [root]
     expanded = 0
     leaves = []
     while stack:
-        if expanded >= budgets["node_cap"]:
+        if expanded >= node_cap:
             status = "node_budget_exhausted"
-            break
-        if time.monotonic() - t0 > budgets["time_cap_s"]:
-            status = "time_budget_exhausted"
             break
         node = stack.pop()
         expanded += 1
@@ -384,7 +385,6 @@ def search(root: EliminationNode, order: Optional[Sequence[str]] = None,
         "contradictory": [n for n in leaves if n.status == "contradictory"],
         "unresolved": [n for n in leaves if n.status == "unresolved"],
         "audit": audit,
-        "budgets": budgets,
         "root": root,
     }
 
@@ -421,10 +421,17 @@ def _univariate_step(gens, var: str, field, assign: Mapping):
 
 
 def _classify_leaf(node: EliminationNode, audit: list):
+    """Solved when its step has an irreducible factor; back-substitution
+    starts from that step (`leaf_step`) and reports its unsplit parts."""
     if not node.remaining_vars:
         node.close("unresolved", "no variable left")
         return
-    step = _univariate_step(node.gens, node.remaining_vars[0], node.field, {})
+    if len(node.gens) == 1 and node.gens[0] in node.step_factors:
+        # a factor in the leaf's one variable: the parent factored it
+        step = [node.gens[0]], []
+    else:
+        step = _univariate_step(node.gens, node.remaining_vars[0],
+                                node.field, {})
     if step is None:
         node.close("unresolved", "zero ideal in the last variable")
         audit.append({"node": node.path, "event": "unresolved",
@@ -436,14 +443,14 @@ def _classify_leaf(node: EliminationNode, audit: list):
         audit.append({"node": node.path, "event": "contradiction",
                       "detail": "constant gcd at leaf"})
         return
-    if unres:
+    if not factors:
         node.close("unresolved",
                    "factor left unsplit by the factorizer: "
                    + "; ".join(p.to_text() for p in unres))
         audit.append({"node": node.path, "event": "unresolved",
                       "detail": node.status_reason})
     else:
-        node.leaf_factors = factors
+        node.leaf_step = step
         node.close("solved")
         audit.append({"node": node.path, "event": "solved",
                       "factors": [p.to_text() for p in factors]})
@@ -456,14 +463,15 @@ def _classify_leaf(node: EliminationNode, audit: list):
 def back_substitute(leaf: EliminationNode):
     """Solutions of the original system reached through this solved leaf.
 
-    Walks the elimination history upward.  Each irreducible factor of a
-    level's univariate step fixes that level's variable to a root
-    adjoined by `fields.adjoin_root`; the next ancestor then takes its
-    univariate step under the values found so far.  Every assignment that
-    reaches the root is verified against the root generators, and a
-    verification failure aborts loudly; a factor whose root the extension
-    policy refuses, or one left unsplit, is reported as an unresolved
-    record.
+    Walks the elimination history upward, from the leaf's own step.  Each
+    irreducible factor of a level's univariate step fixes that level's
+    variable to a root adjoined by `fields.adjoin_root`; the next ancestor
+    then takes its univariate step under the values found so far.  Every
+    assignment that reaches the root is verified against the root
+    generators, and a verification failure aborts loudly.  At every
+    level, the leaf's included, a part of the step left unsplit and a
+    factor whose root the extension policy refuses are each reported as
+    an unresolved record.
     """
     if leaf.status != "solved":
         raise ElimError(f"leaf is {leaf.status}, not solved")
@@ -473,9 +481,13 @@ def back_substitute(leaf: EliminationNode):
     name_counter = [0]
     results = []
 
-    def extend(level, var, factors, field, assign, exts):
-        # chain[level] fixes `var` to a root of one of `factors`; its
-        # parent, chain[level + 1], eliminated chain[level].elim_var
+    def extend(level, var, step, field, assign, exts):
+        # chain[level] fixes `var` to a root of one of the step's factors;
+        # its parent, chain[level + 1], eliminated chain[level].elim_var
+        factors, unsplit = step
+        results.extend(_unresolved_record(
+            assign, f"unsplit residual factor in {var}: " + q.to_text())
+            for q in unsplit)
         for p in factors:
             coeffs = fl.up_monic(p.univariate_coeffs(var))
             try:
@@ -503,13 +515,9 @@ def back_substitute(leaf: EliminationNode):
                 results.append(_unresolved_record(
                     point, f"variable {up} unconstrained after substitution"))
                 continue
-            facs, unres = step
-            results.extend(_unresolved_record(
-                point, f"unsplit residual factor in {up}: " + q.to_text())
-                for q in unres)
-            extend(level + 1, up, facs, nfield, point, exts + ext)
+            extend(level + 1, up, step, nfield, point, exts + ext)
 
-    extend(0, leaf.remaining_vars[0], leaf.leaf_factors, leaf.field, {}, [])
+    extend(0, leaf.remaining_vars[0], leaf.leaf_step, leaf.field, {}, [])
     return results
 
 
@@ -551,10 +559,10 @@ def system_from_doc(doc):
 def solve_system(root: EliminationNode,
                  order: Optional[Sequence[str]] = None,
                  filters: Sequence[FactorFilter] = (),
-                 budgets: Optional[Mapping] = None,
+                 node_cap: int = DEFAULT_NODE_CAP,
                  root_pivot: Optional[MultiPoly] = None):
     """search + back_substitute over all solved leaves; combined report."""
-    report = search(root, order, filters, budgets, root_pivot)
+    report = search(root, order, filters, node_cap, root_pivot)
     recs = [rec for leaf in report["solved"] for rec in back_substitute(leaf)]
     report["solutions"] = _dedup_solutions(
         [rec for rec in recs if rec["status"] == "solved"])

@@ -512,8 +512,7 @@ def certify_smooth_projective(f: MultiPoly):
     h = dehomogenize(f, 2)
     x, y = h.vars
     root = make_root(h.vars, [h, h.derivative(x), h.derivative(y)], field)
-    rep = solve_system(root, order=[x], root_pivot=root.gens[0],
-                       budgets={"time_cap_s": float("inf")})
+    rep = solve_system(root, order=[x], root_pivot=root.gens[0])
     if root.status == "unresolved":
         # the root closes unresolved only on a zero resultant against h: h
         # shares a factor of positive x-degree with a nonzero partial of

@@ -38,6 +38,40 @@ class TestChecksRegistry:
         finally:
             ck._CHECKS = orig
 
+    @pytest.mark.parametrize("oks, status", [
+        ((True, True), "pass"),
+        ((True, None), "unresolved"),
+        ((None, False, True), "fail"),
+        ((False,), "fail")])
+    def test_status_is_the_conjunction_of_the_details(self, monkeypatch,
+                                                      oks, status):
+        # a check returns only its details; run_check reads the status off
+        # their "ok" values
+        details = {f"d{i}": {"got": ok, "expected": True, "ok": ok}
+                   for i, ok in enumerate(oks)}
+        monkeypatch.setattr(ck, "_CHECKS", ck._CHECKS + [
+            ("synthetic", "details as given", ("synthetic",),
+             lambda: details)])
+        e = ck.run_check("synthetic")
+        assert e["status"] == status
+        assert e["details"] == details
+
+    def test_detail_without_a_verdict_is_a_fail(self, monkeypatch):
+        monkeypatch.setattr(ck, "_CHECKS", ck._CHECKS + [
+            ("synthetic", "one detail has no ok", ("synthetic",),
+             lambda: {"a": {"got": 1, "expected": 1, "ok": True},
+                      "b": {"got": 1}})])
+        e = ck.run_check("synthetic")
+        assert e["status"] == "fail"
+        assert e["details"] == {"error": "KeyError: 'ok'"}
+
+    def test_octic_family_details_carry_one_verdict_per_mapping(self):
+        for cid in ("octic-family-assembly", "octic-family-singularities"):
+            e = ck.run_check(cid)
+            assert e["status"] == "pass"
+            assert sorted(e["details"]) == ["s23-to-r32", "s40-to-r32"]
+            assert all(d["ok"] is True for d in e["details"].values())
+
     def test_refuted_octic_point_fails_the_check(self, monkeypatch):
         # an axis point declared with a type it does not have is refuted,
         # so the check fails rather than stays unresolved
@@ -218,6 +252,16 @@ class TestCli:
         assert [p["coords"] for p in spec["points"]] == \
             [["1", "0", "0"], ["0", "1", "0"]]
 
+    @pytest.mark.parametrize("held, code, mark", [(None, 0, "unresolved"),
+                                                  (False, 1, "MISMATCH")])
+    def test_curve_assemble_b_fails_only_on_a_refutation(
+            self, monkeypatch, capsys, held, code, mark):
+        monkeypatch.setattr(curves, "certify_curve_spec", lambda rec: {
+            "points": [], "automorphisms": [], "ok": held})
+        assert main(["curve", "assemble-b", "--mapping", "s23-to-r32"]) \
+            == code
+        assert f"  overall: {mark}" in capsys.readouterr().out
+
     def test_curve_pullback(self, capsys):
         assert main(["curve", "pullback", "--vars", "u,v", "-n", "2",
                      "--names", "u", "u^2-v^3"]) == 0
@@ -258,6 +302,25 @@ class TestCli:
                                    "unresolved": 0, "closed": 1}
         assert [(a["filter"], a["factor"]) for a in saved["audit"]
                 if a["event"] == "filtered"] == [("vanishing(y)", "y")]
+
+    def test_solve_run_node_budget(self, tmp_path, capsys):
+        doc = {"vars": ["x", "y"], "polys": ["x^2+y^2-13", "x-y-1"]}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        report = tmp_path / "out.json"
+        assert main(["solve", "run", str(path), "--budget-nodes", "1",
+                     "--report", str(report)]) == 1
+        assert '"status": "node_budget_exhausted"' in report.read_text()
+        assert "status: node_budget_exhausted" in capsys.readouterr().out
+
+    def test_check_command_prints_an_undecided_detail_unresolved(
+            self, monkeypatch, capsys):
+        monkeypatch.setattr(curves, "certify_smooth_projective",
+                            lambda f: (None, {"steps": []}))
+        assert main(["check", "quartic-smoothness"]) == 0
+        out = capsys.readouterr().out
+        assert "MISMATCH" not in out
+        assert out.count("unresolved (got None)") == 4
 
     def test_check_command(self, capsys, tmp_path):
         report = tmp_path / "check.json"

@@ -10,7 +10,7 @@ from exactcurves.elim import (ElimError, EliminationNode, FactorFilter,
                               expand_children, make_root, search,
                               solve_system, system_from_doc)
 from exactcurves.fields import QQ, NumberField, tower
-from exactcurves.multipoly import leading_term, parse_poly
+from exactcurves.multipoly import factor_bounded, leading_term, parse_poly
 
 V2 = ("x", "y")
 
@@ -271,6 +271,32 @@ def test_adjoined_root_name_is_fresh_in_the_tower():
     assert s["assignment"]["y"] ** 2 == 2
 
 
+def test_leaf_keeps_the_factors_it_split(monkeypatch):
+    # at a recombination budget of 1 the leaf's gcd y*(y^4 - 10*y^2 + 1)
+    # splits off y, and the quartic, irreducible over Q but split modulo
+    # every prime, stays unsplit: the leaf is solved through y = 0, and the
+    # quartic is one unresolved record
+    import exactcurves.factoring as factoring
+    monkeypatch.setattr(factoring, "RECOMBINATION_BUDGET", 1)
+    rep = solve_system(make_root(V2, [P("x - y"), P("y*(y^4 - 10*y^2 + 1)")]),
+                       order=["x"])
+    assert [n.status for n in rep["leaves"]] == ["solved"]
+    assert assignments(rep) == [{"x": 0, "y": 0}]
+    (rec,) = rep["unresolved_branches"]
+    assert rec == {"status": "unresolved", "partial": {},
+                   "reason": "unsplit residual factor in y: "
+                             "y^4 + -10*y^2 + 1"}
+
+
+def test_leaf_left_wholly_unsplit_is_unresolved(monkeypatch):
+    import exactcurves.factoring as factoring
+    monkeypatch.setattr(factoring, "RECOMBINATION_BUDGET", 1)
+    rep = solve_system(make_root(("y",), [P("y^4 - 10*y^2 + 1", ("y",))]))
+    assert [n.status for n in rep["unresolved"]] == ["unresolved"]
+    assert "unsplit by the factorizer" in rep["unresolved"][0].status_reason
+    assert rep["solutions"] == rep["unresolved_branches"] == []
+
+
 # -- roots the extension policy refuses --------------------------------------
 
 def test_refused_factor_keeps_the_leaf_solutions():
@@ -334,7 +360,7 @@ def test_determinism():
 
 def test_budget_exhaustion_status():
     gens = [P("x^2 + y^2 - 5"), P("x*y - 2")]
-    rep = search(make_root(V2, gens), budgets={"node_cap": 1})
+    rep = search(make_root(V2, gens), node_cap=1)
     assert rep["status"] == "node_budget_exhausted"
 
 
@@ -370,6 +396,30 @@ def test_c82_offaxis_points_rederived():
     assert s["assignment"]["y"] == b
     assert s["assignment"]["x"] == (99 * b ** 3 - 5 * b) / 6
     assert s["verified"]
+
+
+def test_leaf_takes_its_parents_factor_unfactored(monkeypatch):
+    # c82's leaf holds only the irreducible factor of the root's gcd, so
+    # it is factored at the root's step and at back-substitution, not again
+    # at the leaf
+    import exactcurves.elim as elim
+    from exactcurves.curves import c82_singular_system
+    calls = []
+
+    def spy(f, name):
+        calls.append(f.to_text())
+        return factor_bounded(f, name)
+    monkeypatch.setattr(elim, "factor_bounded", spy)
+    names, polys = c82_singular_system()
+    rep = solve_system(make_root(names, polys), order=["x"])
+    assert len(calls) == 2
+    (leaf,) = rep["leaves"]
+    assert leaf.path == "0.0" and leaf.status == "solved"
+    assert [p.to_text() for p in leaf.leaf_step[0]] == \
+        ["y^4 + 2/9*y^2 + 1/33"]
+    assert leaf.leaf_step[1] == []
+    (s,) = rep["solutions"]
+    assert s["extensions"] == [("w1", "y^4 + 2/9*y^2 + 1/33")]
 
 
 # -- soundness property suite (>= 100 randomized planted systems) ------------

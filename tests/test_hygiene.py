@@ -3,7 +3,8 @@ every definition in the package is read by the package itself, so none is
 kept only for the tests, every defaulted parameter is set by some call in
 the package, every attribute the package stores is read somewhere, no
 function assigns a name it never reads, the extension policy is read
-only in `fields`, and the package's data files only in `curves`."""
+only in `fields`, the package's data files only in `curves`, and the
+clock only in `checks`."""
 
 import ast
 from pathlib import Path
@@ -315,6 +316,43 @@ def test_data_files_are_read_only_in_curves():
     # records, points and names
     sources = {p.stem: p.read_text() for p in MODULES}
     assert data_file_readers(sources) == []
+
+
+def clock_readers(sources):
+    """The modules of `sources` other than `checks` that import `time` or
+    `datetime`, at any depth; `checks` times its checks and nothing else
+    may, so that a result never depends on the host's speed."""
+    readers = set()
+    for mod, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(n.split(".")[0] in ("time", "datetime") for n in names):
+                readers.add(mod)
+    return sorted(readers - {"checks"})
+
+
+def test_checker_finds_a_clock_read_outside_checks():
+    # `elim` imports time inside a function and `cli` under another name;
+    # `curves` takes a name from datetime; `fields` imports a sibling
+    # module that happens to be called time, and `singular` only names a
+    # variable so
+    sources = {"checks": "import time\nt0 = time.time()\n",
+               "elim": "def f():\n    import time\n    return time\n",
+               "cli": "import os, time as clock\n",
+               "curves": "from datetime import datetime\n",
+               "fields": "from . import time\n",
+               "singular": "time = 3\n"}
+    assert clock_readers(sources) == ["cli", "curves", "elim"]
+
+
+def test_only_checks_reads_the_clock():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert clock_readers(sources) == []
 
 
 def test_checker_finds_a_dead_store():
