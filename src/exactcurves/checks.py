@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .curves import (appendix_b_mappings, assemble_appendix_b,
                      c82_singular_system, certify_curve_spec, conjoin,
-                     corpus_get, kummer_pullback)
+                     corpus_get, kummer_pullback, structural_ok)
 from .elim import make_root, solve_system
 from .fields import QQ, common_field, sturm_real_roots, tower
 from .groups import (CORPUS, ORB22_TO_Z2Z2, count_homs,
@@ -223,8 +223,7 @@ def _assembled_octic_family():
     """(label, report, structural checks passed) per candidate mapping."""
     for mapping in appendix_b_mappings():
         rep = assemble_appendix_b(mapping)
-        yield mapping["label"], rep, all(
-            bool(v) for v in rep["checks"].values() if isinstance(v, bool))
+        yield mapping["label"], rep, structural_ok(rep)
 
 
 def _check_octic_family_assembly():

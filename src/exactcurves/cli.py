@@ -105,7 +105,7 @@ def _print_curve_report(rep, indent=""):
 def _cmd_curve(args):
     from .curves import (appendix_b_mappings, assemble_appendix_b,
                          certify_curve_spec, conjoin, corpus_get,
-                         corpus_names, kummer_pullback)
+                         corpus_names, kummer_pullback, structural_ok)
     from .multipoly import parse_poly
     if args.curve_cmd == "list":
         print("\n".join(corpus_names()))
@@ -136,8 +136,7 @@ def _cmd_curve(args):
                 print(f"  {k}: {v}")
             spec = certify_curve_spec(rep["record"])
             _print_curve_report(spec, indent="  ")
-            if conjoin(spec["ok"], *(v for v in rep["checks"].values()
-                                     if isinstance(v, bool))) is False:
+            if conjoin(structural_ok(rep), spec["ok"]) is False:
                 exit_code = 1
             doc[label] = dict(rep["checks"], singularities=spec)
         _write_report(args, doc)
@@ -198,14 +197,15 @@ def _cmd_group(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args):
-    from .elim import solve_system, system_from_doc
+    from .elim import DEFAULT_NODE_CAP, solve_system, system_from_doc
     with open(args.system) as fh:
         doc = json.load(fh)
     root, filters = system_from_doc(doc)
     order = [v.strip() for v in args.order.split(",")] if args.order \
         else None
     rep = solve_system(root, order=order, filters=filters,
-                       node_cap=args.budget_nodes)
+                       node_cap=(DEFAULT_NODE_CAP if args.budget_nodes is None
+                                 else args.budget_nodes))
     leaves = {st: sum(n.status == st for n in rep["leaves"]) for st in
               ("solved", "contradictory", "unresolved", "closed")}
     print(f"status: {rep['status']}; nodes expanded: "
@@ -266,7 +266,6 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
-    from . import elim
     from .groups import coset
     ap = argparse.ArgumentParser(
         prog="exactcurves",
@@ -350,9 +349,9 @@ def build_parser():
     q = ss.add_parser("run", help="solve a polynomial system document")
     q.add_argument("system", help="JSON file: vars, field, polys, filters")
     q.add_argument("--order", help="comma-separated elimination order")
-    q.add_argument("--budget-nodes", type=int,
-                   default=elim.DEFAULT_NODE_CAP,
-                   help="nodes to expand before stopping unfinished")
+    q.add_argument("--budget-nodes", type=int, default=None,
+                   help="nodes to expand before stopping unfinished "
+                        "(default: the solver's node cap)")
     add_report(q)
     p_solve.set_defaults(func=_cmd_solve)
 

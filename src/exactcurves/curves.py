@@ -357,6 +357,12 @@ def assemble_appendix_b(mapping):
     return report
 
 
+def structural_ok(report) -> bool:
+    """Whether every structural check of an `assemble_appendix_b` report
+    held; the list-valued failure samples are not verdicts."""
+    return all(v for v in report["checks"].values() if isinstance(v, bool))
+
+
 def _apply_sigma(p: MultiPoly, sigma) -> MultiPoly:
     out = MultiPoly.zero(p.vars, p.field)
     out.terms = {e: sigma(c) for e, c in p.terms.items()}

@@ -85,8 +85,7 @@ class EliminationNode:
 
     def __init__(self, gens: Sequence[MultiPoly], field,
                  remaining_vars: Sequence[str], parent=None,
-                 elim_var: Optional[str] = None, path: str = "0",
-                 step_factors=frozenset()):
+                 elim_var: Optional[str] = None, path: str = "0"):
         gens = tuple(gens)
         if any(g.is_zero() for g in gens):
             raise ElimError("node generators must be nonzero")
@@ -96,8 +95,6 @@ class EliminationNode:
         self.parent = parent
         self.elim_var = elim_var  # variable removed when stepping from parent
         self.path = path
-        # factors of the parent's step: one in a single variable is irreducible
-        self.step_factors = step_factors
         self.status = "open"
         self.status_reason = ""
         # history invariants
@@ -266,7 +263,6 @@ def expand_children(node: EliminationNode, pivot: MultiPoly, var: str,
         if g is not pivot and g.degree_in(var) <= 0:
             carried.setdefault(_canonical(g), g)
     remaining = tuple(v for v in node.remaining_vars if v != var)
-    step_factors = frozenset(p for e in step_results for p in e["factors"])
     combos = [[]]
     for s in choice_sets:
         combos = [c + [p] for c in combos for p in s]
@@ -282,7 +278,7 @@ def expand_children(node: EliminationNode, pivot: MultiPoly, var: str,
         seen.add(key)
         children.append(EliminationNode(
             gens.values(), node.field, remaining, parent=node, elim_var=var,
-            path=f"{node.path}.{len(children)}", step_factors=step_factors))
+            path=f"{node.path}.{len(children)}"))
     audit.append({"node": node.path, "event": "expanded", "pivot":
                   pivot.to_text(), "var": var, "children": len(children)})
     return children
@@ -426,12 +422,8 @@ def _classify_leaf(node: EliminationNode, audit: list):
     if not node.remaining_vars:
         node.close("unresolved", "no variable left")
         return
-    if len(node.gens) == 1 and node.gens[0] in node.step_factors:
-        # a factor in the leaf's one variable: the parent factored it
-        step = [node.gens[0]], []
-    else:
-        step = _univariate_step(node.gens, node.remaining_vars[0],
-                                node.field, {})
+    step = _univariate_step(node.gens, node.remaining_vars[0], node.field,
+                            {})
     if step is None:
         node.close("unresolved", "zero ideal in the last variable")
         audit.append({"node": node.path, "event": "unresolved",

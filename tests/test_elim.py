@@ -398,30 +398,6 @@ def test_c82_offaxis_points_rederived():
     assert s["verified"]
 
 
-def test_leaf_takes_its_parents_factor_unfactored(monkeypatch):
-    # c82's leaf holds only the irreducible factor of the root's gcd, so
-    # it is factored at the root's step and at back-substitution, not again
-    # at the leaf
-    import exactcurves.elim as elim
-    from exactcurves.curves import c82_singular_system
-    calls = []
-
-    def spy(f, name):
-        calls.append(f.to_text())
-        return factor_bounded(f, name)
-    monkeypatch.setattr(elim, "factor_bounded", spy)
-    names, polys = c82_singular_system()
-    rep = solve_system(make_root(names, polys), order=["x"])
-    assert len(calls) == 2
-    (leaf,) = rep["leaves"]
-    assert leaf.path == "0.0" and leaf.status == "solved"
-    assert [p.to_text() for p in leaf.leaf_step[0]] == \
-        ["y^4 + 2/9*y^2 + 1/33"]
-    assert leaf.leaf_step[1] == []
-    (s,) = rep["solutions"]
-    assert s["extensions"] == [("w1", "y^4 + 2/9*y^2 + 1/33")]
-
-
 # -- soundness property suite (>= 100 randomized planted systems) ------------
 
 @pytest.mark.parametrize("seed", range(100))
